@@ -22,9 +22,7 @@
 //!
 //! `--sched reference` runs the profiled scenario under the retained
 //! per-tick reference scheduler instead of the event wheel (the default),
-//! and `--datapath reference` runs it under the retained one-op-per-schedule
-//! datapath instead of the batched stage-pass pipeline (the default), so
-//! before/after rows for the PR 9 and PR 10 rewrites come from the same
+//! so before/after rows for the scheduler rewrite come from the same
 //! binary.
 //!
 //! `--gate BASELINE.json` skips measurement entirely: it reads the `--out`
@@ -33,14 +31,13 @@
 //! baseline — the tier-1 perf gate.
 //!
 //! `cargo run --release -p bench --bin perfbench -- [--label L] [--out F]
-//!  [--epochs N] [--sched wheel|reference] [--datapath batched|reference]
-//!  [--no-write] [--gate BASE]`
+//!  [--epochs N] [--sched wheel|reference] [--no-write] [--gate BASE]`
 
 use std::io::Write;
 use std::path::PathBuf;
 
 use pathfinder::profiler::{ProfileSpec, Profiler};
-use simarch::{DatapathMode, Machine, MachineConfig, MemPolicy, SchedMode, Workload};
+use simarch::{Machine, MachineConfig, MemPolicy, SchedMode, Workload};
 
 /// One emitted measurement row.
 struct Row {
@@ -57,16 +54,11 @@ fn secs_since(start_ns: u64) -> f64 {
 /// The fixed profiled scenario: a short-epoch machine (so the per-epoch
 /// profiler work — snapshot, digest, techniques, ingest — dominates over
 /// raw trace simulation) with two seeded workloads that outlive the run.
-fn profiled_scenario(
-    epochs: u64,
-    sched: SchedMode,
-    datapath: DatapathMode,
-) -> std::io::Result<Vec<Row>> {
+fn profiled_scenario(epochs: u64, sched: SchedMode) -> std::io::Result<Vec<Row>> {
     let mut cfg = MachineConfig::tiny();
     cfg.epoch_cycles = 500;
     let mut machine = Machine::new(cfg);
     machine.set_sched_mode(sched);
-    machine.set_datapath_mode(datapath);
     let registry_app = |app: &str, seed: u64| {
         workloads::build(app, u64::MAX / 2, seed).ok_or_else(|| {
             std::io::Error::new(
@@ -325,13 +317,9 @@ fn main() -> std::io::Result<()> {
         Some("reference") => SchedMode::Reference,
         _ => SchedMode::Wheel,
     };
-    let datapath = match arg_value(&args, "--datapath").as_deref() {
-        Some("reference") => DatapathMode::Reference,
-        _ => DatapathMode::Batched,
-    };
 
     println!("perfbench — fixed seeded scenarios, obs clock only\n");
-    let mut rows = profiled_scenario(epochs, sched, datapath)?;
+    let mut rows = profiled_scenario(epochs, sched)?;
     rows.extend(ingest_scenario(64, 4_000));
 
     if let Some(label) = &label {

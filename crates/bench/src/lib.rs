@@ -87,7 +87,6 @@ pub fn run_machine_with_faults(
     plan: simarch::FaultPlan,
 ) -> (SystemDelta, u64) {
     let mut machine = Machine::new(cfg);
-    machine.set_datapath_mode(datapath_from_args());
     machine.set_fault_plan(plan);
     for p in pins {
         machine.attach(p.core, Workload::new(p.name, p.trace, p.policy));
@@ -116,7 +115,6 @@ pub fn run_fabric(
     plan: simarch::FaultPlan,
 ) -> (SystemDelta, u64) {
     let mut fabric = simarch::Fabric::new(cfg, fcfg);
-    fabric.set_datapath_mode(datapath_from_args());
     fabric.set_fault_plan(plan);
     for (host, p) in pins {
         fabric.attach(host, p.core, Workload::new(p.name, p.trace, p.policy));
@@ -136,7 +134,6 @@ pub fn run_fabric(
 /// the profiler itself (for materializer queries).
 pub fn run_profiled(cfg: MachineConfig, pins: Vec<Pin>) -> (Report, Profiler) {
     let mut machine = Machine::new(cfg);
-    machine.set_datapath_mode(datapath_from_args());
     for p in pins {
         machine.attach(p.core, Workload::new(p.name, p.trace, p.policy));
     }
@@ -228,25 +225,6 @@ pub fn platform_from_args() -> MachineConfig {
 /// `--jobs 1`; see [`scenario::map_scenarios`]).
 pub fn jobs_from_args() -> scenario::Jobs {
     scenario::Jobs::from_args()
-}
-
-/// Parse `--datapath batched|reference` from argv. Every figure binary
-/// accepts it (the harness applies it to each machine/fabric it builds),
-/// so any artefact can be regenerated under the retained per-op reference
-/// walk — `tests/golden_identity.rs` asserts the bytes do not change.
-/// Unknown values fall back to the default (batched) rather than erroring:
-/// the differential tests are the guard, not the figure CLI.
-pub fn datapath_from_args() -> simarch::DatapathMode {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .iter()
-        .position(|a| a == "--datapath")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("reference") => simarch::DatapathMode::Reference,
-        _ => simarch::DatapathMode::Batched,
-    }
 }
 
 /// Parse `--ops N` from argv.

@@ -377,6 +377,7 @@ impl Profiler {
             }
             self.materializer
                 .ingest_progress(ts, &er.ops_per_core, &self.apps_cache);
+            self.materializer.db.publish_metrics();
         }
         if let Some(d) = span_profiler.finish() {
             self.overhead.profiler_secs += d.as_secs_f64();

@@ -57,12 +57,7 @@ pub struct HostSim {
 impl HostSim {
     /// Build host `id` from the fleet seed. Fails only if the workload
     /// registry is missing one of [`FLEET_APPS`].
-    pub fn new(
-        id: u32,
-        fleet_seed: u64,
-        columns: usize,
-        datapath: simarch::DatapathMode,
-    ) -> Result<HostSim, String> {
+    pub fn new(id: u32, fleet_seed: u64, columns: usize) -> Result<HostSim, String> {
         let [a0, a1, a2, a3] = FLEET_APPS;
         let app = match id % 4 {
             0 => a0,
@@ -79,7 +74,6 @@ impl HostSim {
         let trace = workloads::build(app, u64::MAX / 2, mix_seed(fleet_seed, id))
             .ok_or_else(|| format!("workload registry has no app `{app}`"))?;
         let mut machine = Machine::new(host_config());
-        machine.set_datapath_mode(datapath);
         machine.attach(0, Workload::new(app, trace, policy));
         let prev = machine.pmu.snapshot(machine.now());
         Ok(HostSim {

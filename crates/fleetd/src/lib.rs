@@ -54,11 +54,6 @@ pub struct FleetConfig {
     /// Record every host's counter stream as CSV text (id,ts,v0,v1,...)
     /// for the determinism tests and `Fleet::dump_streams`.
     pub record_streams: bool,
-    /// Per-op datapath for every host machine. `Batched` (the default) is
-    /// the staged pipeline; `Reference` is the retained per-op walk. The
-    /// two are byte-identical through the PMU — the fixed-seed golden
-    /// round pins that for fleet mode (`tests/golden_round.rs`).
-    pub datapath: simarch::DatapathMode,
 }
 
 impl Default for FleetConfig {
@@ -70,7 +65,6 @@ impl Default for FleetConfig {
             epochs_per_round: 1,
             retention_rounds: 16,
             record_streams: false,
-            datapath: simarch::DatapathMode::Batched,
         }
     }
 }

@@ -82,17 +82,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--retention" => {
                 opts.cfg.retention_rounds = parse_num(&value("--retention")?, "--retention")?;
             }
-            "--datapath" => {
-                opts.cfg.datapath = match value("--datapath")?.as_str() {
-                    "batched" => simarch::DatapathMode::Batched,
-                    "reference" => simarch::DatapathMode::Reference,
-                    other => {
-                        return Err(format!(
-                            "--datapath: `{other}` is not `batched` or `reference`"
-                        ))
-                    }
-                };
-            }
             "--listen" => {
                 let addr = value("--listen")?;
                 opts.listen = if addr == "none" { None } else { Some(addr) };

@@ -29,12 +29,22 @@ use obs::prom::PromText;
 
 use crate::shard::{FleetSnapshot, SharedState};
 
+/// The Prometheus family of each counter column's fleet summary
+/// (`pathfinder_fleet_<counter>`). A fleet computes these once at launch,
+/// so a scrape never formats or mangles a family name.
+pub fn fleet_families(names: &[String]) -> Vec<String> {
+    names
+        .iter()
+        .map(|name| obs::prom::mangle(&format!("fleet.{name}")))
+        .collect()
+}
+
 /// Render the full exposition for one scrape.
 pub fn render_metrics(snap: &FleetSnapshot) -> String {
     let mut w = PromText::new();
     w.render_registry();
     let hosts = snap.hosts;
-    for (name, stat) in snap.names.iter().zip(snap.counters.iter()) {
+    for (family, stat) in snap.families.iter().zip(snap.counters.iter()) {
         let mean = if hosts == 0 {
             0.0
         } else {
@@ -49,7 +59,7 @@ pub fn render_metrics(snap: &FleetSnapshot) -> String {
             p95: stat.p95,
             p99: stat.p99,
         };
-        w.summary(&format!("fleet.{name}"), &[], &h);
+        w.summary_family(family, &[], &h);
     }
     let mut id = String::new();
     for (host, vals) in &snap.headline {

@@ -76,8 +76,9 @@ pub struct FleetSnapshot {
     pub points: u64,
     /// Real columnar heap, summed over shards.
     pub resident_bytes: u64,
-    /// Counter column names, registry order.
-    pub names: Arc<Vec<String>>,
+    /// Prometheus family of each counter column, registry order
+    /// ([`crate::server::fleet_families`]).
+    pub families: Arc<Vec<String>>,
     /// Fleet roll-up per counter (sum + per-host percentiles).
     pub counters: Vec<CounterStat>,
     /// Headline counters per host, sorted by host id.
@@ -142,6 +143,7 @@ pub struct RoundSummary {
 pub struct Fleet {
     cfg: FleetConfig,
     names: Arc<Vec<String>>,
+    families: Arc<Vec<String>>,
     txs: Vec<Sender<Cmd>>,
     rx: Receiver<ShardReport>,
     handles: Vec<JoinHandle<()>>,
@@ -169,7 +171,7 @@ impl Fleet {
             let end = start.saturating_add(per).min(cfg.hosts);
             let mut hosts = Vec::with_capacity((end - start) as usize);
             for id in start..end {
-                hosts.push(HostSim::new(id, cfg.seed, columns, cfg.datapath)?);
+                hosts.push(HostSim::new(id, cfg.seed, columns)?);
             }
             let (tx, cmd_rx) = channel();
             let worker_cfg = cfg.clone();
@@ -195,6 +197,7 @@ impl Fleet {
         }
         Ok(Fleet {
             cfg,
+            families: Arc::new(crate::server::fleet_families(&names)),
             names,
             txs,
             rx,
@@ -278,7 +281,7 @@ impl Fleet {
             epochs: self.epochs_total,
             points: self.points_total,
             resident_bytes: resident,
-            names: Arc::clone(&self.names),
+            families: Arc::clone(&self.families),
             counters,
             headline,
         });
@@ -473,6 +476,7 @@ fn worker_main(
                     db.ingest(*sid, h.epochs_done, &values);
                     points += 1;
                 }
+                db.publish_metrics();
                 if cfg.retention_rounds > 0 && rounds > cfg.retention_rounds {
                     // Drop rows older than the retention window: kept
                     // timestamps are the last `retention_rounds` rounds'

@@ -14,7 +14,6 @@ fn dump_with_shards(shards: u32) -> String {
         epochs_per_round: 2,
         retention_rounds: 2,
         record_streams: true,
-        ..FleetConfig::default()
     };
     let mut fleet = Fleet::launch(cfg).expect("launch fleet");
     for _ in 0..3 {

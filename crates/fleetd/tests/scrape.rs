@@ -31,7 +31,6 @@ fn live_metrics_scrape_validates() {
         epochs_per_round: 1,
         retention_rounds: 4,
         record_streams: false,
-        ..FleetConfig::default()
     };
     let mut fleet = Fleet::launch(cfg).expect("launch");
     for _ in 0..2 {

@@ -276,17 +276,25 @@ pub fn escape(s: &str) -> String {
 /// Format an `f64` as JSON: finite values print minimally but round-trip;
 /// non-finite values (not representable in JSON) become `null`.
 pub fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, v);
+    out
+}
+
+/// Append `v` to `out` exactly as [`fmt_f64`] formats it, without a
+/// temporary string.
+pub fn write_f64(out: &mut String, v: f64) {
+    use fmt::Write as _;
     if !v.is_finite() {
-        return "null".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        out.push_str("null");
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        let _ = write!(out, "{}", v as i64);
     } else {
-        let short = format!("{v}");
-        if short.parse::<f64>() == Ok(v) {
-            short
-        } else {
-            format!("{v:e}")
+        let start = out.len();
+        let _ = write!(out, "{v}");
+        if out.get(start..).and_then(|s| s.parse::<f64>().ok()) != Some(v) {
+            out.truncate(start);
+            let _ = write!(out, "{v:e}");
         }
     }
 }

@@ -27,12 +27,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use crate::json::fmt_f64;
+use crate::json::write_f64;
 use crate::metrics::HistSnapshot;
 
 /// Mangle a dotted PathFinder metric name into Prometheus form.
 pub fn mangle(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 11);
+    mangle_into(&mut out, name);
+    out
+}
+
+fn mangle_into(out: &mut String, name: &str) {
     out.push_str("pathfinder_");
     for c in name.chars() {
         if c.is_ascii_alphanumeric() {
@@ -41,7 +46,6 @@ pub fn mangle(name: &str) -> String {
             out.push('_');
         }
     }
-    out
 }
 
 /// Does `name` have the shape the mangler produces (`pathfinder_` prefix,
@@ -58,8 +62,7 @@ pub fn is_mangled(name: &str) -> bool {
     }
 }
 
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+fn escape_label_into(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -68,15 +71,18 @@ fn escape_label(v: &str) -> String {
             other => out.push(other),
         }
     }
-    out
 }
 
 /// Incremental Prometheus text writer. Families are typed once, on first
 /// use; callers pass raw dotted names and the writer mangles them.
+/// Samples are written straight into the output buffer, so only a
+/// family's first sample allocates (its entry in the typed set).
 #[derive(Default)]
 pub struct PromText {
     out: String,
     typed: BTreeSet<String>,
+    /// Reused buffer for the mangled name of the sample being written.
+    name: String,
 }
 
 impl PromText {
@@ -84,59 +90,93 @@ impl PromText {
         PromText::default()
     }
 
-    fn family(&mut self, mangled: &str, kind: &str) {
-        if self.typed.insert(mangled.to_string()) {
-            let _ = writeln!(self.out, "# TYPE {mangled} {kind}");
+    /// `name` mangled into the reused name buffer; hand the buffer back
+    /// through `self.name` when done with it.
+    fn mangled(&mut self, name: &str) -> String {
+        let mut m = std::mem::take(&mut self.name);
+        m.clear();
+        mangle_into(&mut m, name);
+        m
+    }
+
+    fn family(&mut self, family: &str, kind: &str) {
+        if !self.typed.contains(family) {
+            self.typed.insert(family.to_string());
+            let _ = writeln!(self.out, "# TYPE {family} {kind}");
         }
     }
 
-    fn sample(&mut self, mangled: &str, labels: &[(&str, &str)], value: &str) {
-        self.out.push_str(mangled);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                let _ = write!(self.out, "{k}=\"{}\"", escape_label(v));
-            }
+    /// Write a sample's name (`family` + `suffix`), its label set with
+    /// `extra` appended, and the space before its value.
+    fn series(
+        &mut self,
+        family: &str,
+        suffix: &str,
+        labels: &[(&str, &str)],
+        extra: Option<(&str, &str)>,
+    ) {
+        self.out.push_str(family);
+        self.out.push_str(suffix);
+        let mut sep = '{';
+        for (k, v) in labels.iter().copied().chain(extra) {
+            self.out.push(sep);
+            sep = ',';
+            self.out.push_str(k);
+            self.out.push_str("=\"");
+            escape_label_into(&mut self.out, v);
+            self.out.push('"');
+        }
+        if sep == ',' {
             self.out.push('}');
         }
         self.out.push(' ');
-        self.out.push_str(value);
-        self.out.push('\n');
+    }
+
+    /// Type the family of the dotted `name` if it is new, then write a
+    /// sample of it up to its value.
+    fn open_sample(&mut self, name: &str, kind: &str, labels: &[(&str, &str)]) {
+        let family = self.mangled(name);
+        self.family(&family, kind);
+        self.series(&family, "", labels, None);
+        self.name = family;
     }
 
     /// Emit a counter sample (monotone, u64).
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        let m = mangle(name);
-        self.family(&m, "counter");
-        self.sample(&m, labels, &value.to_string());
+        self.open_sample(name, "counter", labels);
+        let _ = writeln!(self.out, "{value}");
     }
 
     /// Emit a gauge sample.
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let m = mangle(name);
-        self.family(&m, "gauge");
-        self.sample(&m, labels, &fmt_f64(value));
+        self.open_sample(name, "gauge", labels);
+        write_f64(&mut self.out, value);
+        self.out.push('\n');
     }
 
     /// Emit an obs histogram as a Prometheus summary: p50/p95/p99 as
     /// `quantile` samples, plus `_sum` (reconstructed from the mean) and
     /// `_count`.
     pub fn summary(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
-        let m = mangle(name);
-        self.family(&m, "summary");
-        let mut with_q: Vec<(&str, &str)> = Vec::with_capacity(labels.len() + 1);
+        let family = self.mangled(name);
+        self.summary_family(&family, labels, h);
+        self.name = family;
+    }
+
+    /// [`PromText::summary`] under a family name already in [`mangle`]d
+    /// form, for callers that render the same families on every scrape
+    /// and mangle them once.
+    pub fn summary_family(&mut self, family: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
+        self.family(family, "summary");
         for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-            with_q.clear();
-            with_q.extend_from_slice(labels);
-            with_q.push(("quantile", q));
-            self.sample(&m, &with_q, &v.to_string());
+            self.series(family, "", labels, Some(("quantile", q)));
+            let _ = writeln!(self.out, "{v}");
         }
-        let sum = h.mean * h.count as f64;
-        self.sample(&format!("{m}_sum"), labels, &fmt_f64(sum));
-        self.sample(&format!("{m}_count"), labels, &h.count.to_string());
+        self.series(family, "_sum", labels, None);
+        write_f64(&mut self.out, h.mean * h.count as f64);
+        self.out.push('\n');
+        self.series(family, "_count", labels, None);
+        let _ = writeln!(self.out, "{}", h.count);
     }
 
     /// Render every metric currently in the obs registry (counters,
@@ -331,7 +371,8 @@ pub fn validate(text: &str, required: &[&str]) -> Result<PromStats, String> {
         // the key stays unambiguous whatever bytes the values contain.
         pairs.sort();
         let key = pairs.iter().fold(name.to_string(), |mut k, (lk, lv)| {
-            let _ = write!(k, "\u{0}{lk}\u{0}{}", escape_label(lv));
+            let _ = write!(k, "\u{0}{lk}\u{0}");
+            escape_label_into(&mut k, lv);
             k
         });
         if !seen.insert(key) {

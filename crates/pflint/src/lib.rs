@@ -41,9 +41,11 @@
 //! 7. **Hot-path allocations** ([`run_hot_path_alloc`]): any function
 //!    annotated with a standalone `// pflint::hot` comment must stay free
 //!    of string/Vec-growth allocations — the static side of the
-//!    allocation-free steady-state guarantee (PERFORMANCE.md). This
-//!    generalizes the retired `ingest-hot-path` rule, which hardcoded two
-//!    files; the annotation now travels with the function.
+//!    allocation-free steady-state guarantee (PERFORMANCE.md) — and of
+//!    `obs::span!`/`obs::metrics::` calls, which take a process-wide lock
+//!    per call (OBSERVABILITY.md: no obs call below epoch granularity).
+//!    This generalizes the retired `ingest-hot-path` rule, which hardcoded
+//!    two files; the annotation now travels with the function.
 //! 8. **Concurrency hygiene** ([`run_concurrency_hygiene`]): threads,
 //!    locks, atomics, channels, and `unsafe` are confined to the
 //!    sanctioned modules ([`CONCURRENCY_ALLOWLIST`]); fleetd's sharded
@@ -813,9 +815,10 @@ pub fn run_fault_plan_determinism(root: &Path) -> Vec<Finding> {
 // Analysis 7: hot-path allocations
 // ---------------------------------------------------------------------
 
-/// (needle, advice) — allocating calls forbidden inside a `// pflint::hot`
-/// body. Each heap-allocates per call, which in the per-epoch tick/drain
-/// grid means thousands of allocations per simulated second.
+/// (needle, advice) — calls forbidden inside a `// pflint::hot` body.
+/// Each heap-allocates or takes an obs lock per call, which in the
+/// per-op and per-epoch tick/drain grid means thousands of allocations or
+/// lock round trips per simulated second.
 const HOT_PATH_NEEDLES: &[(&str, &str)] = &[
     (
         "format!",
@@ -864,6 +867,14 @@ const HOT_PATH_NEEDLES: &[(&str, &str)] = &[
     (
         ".collect(",
         "collecting allocates; iterate in place or fill a reused buffer",
+    ),
+    (
+        "obs::span!",
+        "a span reads the clock twice and takes the recorder lock; open it per epoch in a caller",
+    ),
+    (
+        "obs::metrics::",
+        "a metric update takes the registry lock; count in a field and publish once per epoch",
     ),
 ];
 

@@ -178,10 +178,13 @@ fn bad_fixtures_trip_hot_path_alloc() {
     // collect in the retire pass.
     assert_found(&findings, rules::HOT_PATH_ALLOC, "batch_pass.rs", 6);
     assert_found(&findings, rules::HOT_PATH_ALLOC, "batch_pass.rs", 15);
+    // obs calls in a per-op body: a span and a metric update.
+    assert_found(&findings, rules::HOT_PATH_ALLOC, "obs_in_hot.rs", 5);
+    assert_found(&findings, rules::HOT_PATH_ALLOC, "obs_in_hot.rs", 8);
     // Cold-path formatting (`describe`, `series_key`) stays out of scope.
     assert_eq!(
         findings.len(),
-        10,
+        12,
         "rule leaked beyond hot bodies: {findings:?}"
     );
 }

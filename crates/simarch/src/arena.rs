@@ -210,12 +210,11 @@ impl<V: Copy + Default> LineMap<V> {
     }
 }
 
-/// A struct-of-arrays buffer of decoded trace operations — the gather
-/// stage of the batched datapath (`DatapathMode::Batched`).
+/// A struct-of-arrays buffer of decoded trace operations, one per core.
 ///
 /// Each core's `Machine`-owned ring is refilled in chunks from the trace
 /// (one virtual `fill_ops` call per chunk instead of one `next_op` call
-/// per op) and drained front-to-back by the slice executor. Fields are
+/// per op) and drained front-to-back by `step_core`. Fields are
 /// parallel flat vectors (`arena.rs` style): the kind is packed to one
 /// byte so a refill touches three dense arrays and the backing storage
 /// reaches steady-state capacity after the first chunk — no per-op
@@ -228,8 +227,8 @@ impl<V: Copy + Default> LineMap<V> {
 pub struct OpRing {
     /// Virtual addresses, parallel to `kinds`/`works`. Ops are buffered
     /// by *virtual* address and translated at execution time, so a page
-    /// migration between refill and execution behaves exactly as in the
-    /// unbuffered reference walk.
+    /// migration between refill and execution behaves exactly as an
+    /// unbuffered per-op pull.
     vaddrs: Vec<u64>,
     /// Packed [`AccessKind`](crate::request::AccessKind) per op.
     kinds: Vec<u8>,
@@ -267,7 +266,7 @@ impl OpRing {
 
     /// Append one decoded op. Amortized allocation-free: the backing
     /// vectors keep their chunk-sized capacity across refills.
-    // pflint::hot — gather pass of the batched datapath.
+    // pflint::hot — chunk refill of the per-op pull.
     #[inline]
     pub fn push(&mut self, op: crate::request::MemOp) {
         use crate::request::AccessKind;
@@ -286,7 +285,7 @@ impl OpRing {
     }
 
     /// The next buffered op, front-to-back.
-    // pflint::hot — per-op pull of the batched datapath.
+    // pflint::hot — the per-op pull.
     #[inline]
     pub fn pop(&mut self) -> Option<crate::request::MemOp> {
         use crate::request::{AccessKind, MemOp};

@@ -128,69 +128,6 @@ impl SetAssocCache {
         Some(line)
     }
 
-    /// Combined demand-load probe for the batched datapath: one set search
-    /// replacing the reference walk's hit-path double `lookup` (find, then
-    /// re-find to clear `prefetched`). Clock-exact against that sequence:
-    /// a hit advances `lru_clock` twice and stamps the line with the second
-    /// tick; a miss advances it once and stamps nothing — so every future
-    /// LRU eviction decision is byte-identical to the reference walk's.
-    // pflint::hot — batched L1 probe pass; must not allocate.
-    #[inline]
-    pub fn probe_demand(&mut self, line_addr: u64) -> Option<u64> {
-        self.lru_clock += 1;
-        let set = self.set_of(line_addr);
-        let r = self.set_range(set);
-        let line = self.lines[r].iter_mut().find(|l| l.tag == line_addr)?;
-        self.lru_clock += 1;
-        line.lru = self.lru_clock;
-        line.prefetched = false;
-        Some(line.ready_at)
-    }
-
-    /// Combined store probe: `(ready_at, was_writable)`, upgrading a
-    /// writable hit to Modified in the same search. Clock-exact against the
-    /// reference double-lookup: writable hit = two ticks, stamped with the
-    /// second; non-writable hit = one tick, stamped; miss = one tick.
-    // pflint::hot — batched store pass; must not allocate.
-    #[inline]
-    pub fn probe_store(&mut self, line_addr: u64) -> Option<(u64, bool)> {
-        self.lru_clock += 1;
-        let set = self.set_of(line_addr);
-        let r = self.set_range(set);
-        let line = self.lines[r].iter_mut().find(|l| l.tag == line_addr)?;
-        let ready_at = line.ready_at;
-        if line.state.writable() {
-            self.lru_clock += 1;
-            line.state = LineState::Modified;
-            line.lru = self.lru_clock;
-            Some((ready_at, true))
-        } else {
-            line.lru = self.lru_clock;
-            Some((ready_at, false))
-        }
-    }
-
-    /// Combined L2 probe: `(ready_at, writable_ok)` where `writable_ok`
-    /// means the access can be served here (`!rfo` or the line is
-    /// writable); an RFO hitting a writable line is upgraded to Modified
-    /// in the same search. Clock-exact against the reference sequence
-    /// (`lookup`, then a second `lookup` only on the RFO-writable path).
-    // pflint::hot — batched L2 pass; must not allocate.
-    #[inline]
-    pub fn probe_l2(&mut self, line_addr: u64, rfo: bool) -> Option<(u64, bool)> {
-        self.lru_clock += 1;
-        let set = self.set_of(line_addr);
-        let r = self.set_range(set);
-        let line = self.lines[r].iter_mut().find(|l| l.tag == line_addr)?;
-        let writable_ok = !rfo || line.state.writable();
-        if rfo && writable_ok {
-            self.lru_clock += 1;
-            line.state = LineState::Modified;
-        }
-        line.lru = self.lru_clock;
-        Some((line.ready_at, writable_ok))
-    }
-
     /// Look a line up without touching LRU (snoops, probes).
     // pflint::hot — per-snoop path; must not allocate.
     pub fn peek(&self, line_addr: u64) -> Option<&Line> {
@@ -353,74 +290,6 @@ mod tests {
         c.insert(9, LineState::Exclusive, 0, false);
         assert_eq!(c.downgrade(9), Some(LineState::Exclusive));
         assert_eq!(c.peek(9).unwrap().state, LineState::Shared);
-    }
-
-    /// The combined probes must evolve `lru_clock` and line stamps exactly
-    /// like the reference walk's lookup sequences — LRU divergence would
-    /// change a future eviction and break counter byte-identity.
-    #[test]
-    fn combined_probes_are_clock_exact_vs_reference_lookups() {
-        let fill = |c: &mut SetAssocCache| {
-            c.insert(1, LineState::Exclusive, 5, true);
-            c.insert(2, LineState::Shared, 7, true);
-        };
-        // Demand load hit: reference does lookup + re-lookup (clear
-        // prefetched).
-        let (mut a, mut b) = (cache_4x2(), cache_4x2());
-        fill(&mut a);
-        fill(&mut b);
-        assert_eq!(a.probe_demand(1), Some(5));
-        let rb = b.lookup(1).map(|l| l.ready_at);
-        if let Some(l) = b.lookup(1) {
-            l.prefetched = false;
-        }
-        assert_eq!(rb, Some(5));
-        assert_eq!(a.lru_clock, b.lru_clock);
-        assert_eq!(a.peek(1).unwrap().lru, b.peek(1).unwrap().lru);
-        assert!(!a.peek(1).unwrap().prefetched);
-        // Demand load miss: one tick, no stamp.
-        assert_eq!(a.probe_demand(99), None);
-        assert!(b.lookup(99).is_none());
-        assert_eq!(a.lru_clock, b.lru_clock);
-        // Store writable hit: lookup + re-lookup (Modified upgrade).
-        assert_eq!(a.probe_store(1), Some((5, true)));
-        let sb = b.lookup(1).map(|l| (l.ready_at, l.state.writable()));
-        if let Some(l) = b.lookup(1) {
-            l.state = LineState::Modified;
-        }
-        assert_eq!(sb, Some((5, true)));
-        assert_eq!(a.lru_clock, b.lru_clock);
-        assert_eq!(a.peek(1).unwrap().lru, b.peek(1).unwrap().lru);
-        assert_eq!(a.peek(1).unwrap().state, LineState::Modified);
-        // Store non-writable hit: single lookup, no upgrade.
-        assert_eq!(a.probe_store(2), Some((7, false)));
-        b.lookup(2);
-        assert_eq!(a.lru_clock, b.lru_clock);
-        assert_eq!(a.peek(2).unwrap().lru, b.peek(2).unwrap().lru);
-        assert_eq!(a.peek(2).unwrap().state, LineState::Shared);
-        // L2 RFO-writable hit: lookup + re-lookup (Modified upgrade);
-        // RFO on a non-writable line and plain reads take one tick.
-        let (mut a, mut b) = (cache_4x2(), cache_4x2());
-        fill(&mut a);
-        fill(&mut b);
-        assert_eq!(a.probe_l2(1, true), Some((5, true)));
-        b.lookup(1);
-        if let Some(l) = b.lookup(1) {
-            l.state = LineState::Modified;
-        }
-        assert_eq!(a.lru_clock, b.lru_clock);
-        assert_eq!(a.peek(1).unwrap().lru, b.peek(1).unwrap().lru);
-        assert_eq!(a.peek(1).unwrap().state, LineState::Modified);
-        assert_eq!(a.probe_l2(2, true), Some((7, false)));
-        b.lookup(2);
-        assert_eq!(a.lru_clock, b.lru_clock);
-        assert_eq!(a.peek(2).unwrap().state, LineState::Shared);
-        assert_eq!(a.probe_l2(2, false), Some((7, true)));
-        b.lookup(2);
-        assert_eq!(a.lru_clock, b.lru_clock);
-        assert_eq!(a.probe_l2(50, false), None);
-        assert!(b.lookup(50).is_none());
-        assert_eq!(a.lru_clock, b.lru_clock);
     }
 
     #[test]

@@ -86,6 +86,9 @@ pub enum ChaOutcome {
 struct DirEntry {
     owners: u64,
     dirty: bool,
+    /// Insertion number of this residency; its `order` slot carries the
+    /// same number, so slots left by earlier residencies read as stale.
+    seq: u64,
 }
 
 /// The snoop filter: a capacity-bounded coherence directory over all
@@ -99,10 +102,19 @@ struct DirEntry {
 #[derive(Debug, Default)]
 pub struct SnoopFilter {
     entries: crate::arena::LineMap<DirEntry>,
-    /// FIFO victimisation order; may lag `entries` with stale keys that
-    /// are skipped lazily at overflow time.
-    order: std::collections::VecDeque<u64>,
+    /// FIFO victimisation order as `(line, seq)` slots. Clearing an entry
+    /// leaves its slot behind as stale; stale slots are skipped at
+    /// overflow and dropped in bulk once the queue passes twice the
+    /// capacity, so the queue stays bounded while entries churn.
+    order: std::collections::VecDeque<(u64, u64)>,
+    /// Insertion counter stamped into each new entry and its slot.
+    next_seq: u64,
     capacity: usize,
+}
+
+/// Is `(line, seq)` the queue slot of `line`'s current residency?
+fn is_live(entries: &crate::arena::LineMap<DirEntry>, (line, seq): (u64, u64)) -> bool {
+    entries.get(line).is_some_and(|e| e.seq == seq)
 }
 
 impl SnoopFilter {
@@ -110,6 +122,7 @@ impl SnoopFilter {
         SnoopFilter {
             entries: crate::arena::LineMap::new(),
             order: std::collections::VecDeque::new(),
+            next_seq: 0,
             capacity: capacity.max(16),
         }
     }
@@ -123,23 +136,28 @@ impl SnoopFilter {
             e.dirty |= dirty;
             return None;
         }
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.entries.insert(
             line,
             DirEntry {
                 owners: 1 << core,
                 dirty,
+                seq,
             },
         );
-        self.order.push_back(line);
+        self.order.push_back((line, seq));
+        if self.order.len() > 2 * self.capacity {
+            let entries = &self.entries;
+            self.order.retain(|&slot| is_live(entries, slot));
+        }
         if self.entries.len() > self.capacity {
-            // FIFO victimisation; skip stale order entries.
-            while let Some(victim) = self.order.pop_front() {
-                if victim == line {
-                    self.order.push_back(victim);
-                    continue;
-                }
-                if let Some(e) = self.entries.remove(victim) {
-                    return Some((victim, e.owners));
+            // FIFO victimisation over live slots. The new entry's slot is
+            // last, and more than `capacity` live slots precede it.
+            while let Some(slot) = self.order.pop_front() {
+                if is_live(&self.entries, slot) {
+                    let owners = self.entries.remove(slot.0).map_or(0, |e| e.owners);
+                    return Some((slot.0, owners));
                 }
             }
         }
@@ -211,7 +229,8 @@ impl Invariants for SnoopFilter {
             "ownerless directory entries present"
         );
         // The FIFO order queue tracks at least every live entry (it may
-        // additionally hold stale keys awaiting lazy cleanup).
+        // additionally hold stale slots awaiting compaction), and
+        // compaction bounds it.
         invariant!(
             out,
             self.component(),
@@ -219,6 +238,14 @@ impl Invariants for SnoopFilter {
             "order queue lost entries: order={} entries={}",
             self.order.len(),
             self.entries.len()
+        );
+        invariant!(
+            out,
+            self.component(),
+            self.order.len() <= 2 * self.capacity,
+            "order queue unbounded: order={} capacity={}",
+            self.order.len(),
+            self.capacity
         );
     }
 }
@@ -679,6 +706,20 @@ mod tests {
         }
         assert!(victims > 0);
         assert!(sf.len() <= 17);
+    }
+
+    #[test]
+    fn sf_order_queue_stays_bounded_under_churn() {
+        let mut sf = SnoopFilter::new(64);
+        for line in 0..100 * 64 {
+            assert_eq!(sf.record(line, 0, false), None);
+            sf.clear(line, 0);
+            assert!(sf.order.len() <= 2 * 64, "order {}", sf.order.len());
+        }
+        assert!(sf.is_empty());
+        let mut out = Vec::new();
+        sf.collect_violations(&mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -13,12 +13,16 @@ use crate::cache::{Eviction, LineState};
 use crate::cha::ChaOutcome;
 use crate::machine::Machine;
 use crate::mem::{MemNode, PhysAddr, CACHELINE, PAGE_SIZE};
-use crate::request::{AccessKind, ServeLoc};
+use crate::request::{AccessKind, MemOp, ServeLoc};
 use pmu::{CoreEvent, L3HitSrc, L3MissSrc, PathClass, RespScenario};
 
 /// Retry budget for poisoned CXL.mem completions before viral containment
 /// gives up and accepts the line with a scrub penalty.
 const POISON_MAX_RETRIES: u32 = 2;
+
+/// Ops decoded from the trace per ring refill: enough to amortize the
+/// virtual `fill_ops` call, few enough that the buffered tail stays small.
+const OP_CHUNK: usize = 64;
 
 impl Machine {
     /// Migrate a virtual page of `core`'s address space to `node`,
@@ -71,16 +75,9 @@ impl Machine {
     // -----------------------------------------------------------------
 
     pub(crate) fn step_core(&mut self, c: usize) {
-        // Pull the next op (short borrow of the trace).
-        let op = {
-            let core = &mut self.cores[c];
-            match core.workload.as_mut().and_then(|w| w.trace.next_op()) {
-                Some(op) => op,
-                None => {
-                    core.done = true;
-                    return;
-                }
-            }
+        let Some(op) = self.next_op(c) else {
+            self.cores[c].done = true;
+            return;
         };
         {
             let core = &mut self.cores[c];
@@ -121,6 +118,24 @@ impl Machine {
                 self.do_store(c, paddr);
             }
         }
+    }
+
+    /// Core `c`'s next op from its ring, refilled [`OP_CHUNK`] ops at a
+    /// time from the trace when it runs dry. `None` means the trace
+    /// finished. Traces are pure generators, so decoding ahead never
+    /// changes which op executes next.
+    // pflint::hot — the per-op pull.
+    fn next_op(&mut self, c: usize) -> Option<MemOp> {
+        if let Some(op) = self.rings[c].pop() {
+            return Some(op);
+        }
+        let Machine { rings, cores, .. } = self;
+        let run = cores[c].workload.as_mut()?;
+        let ring = &mut rings[c];
+        if run.trace.fill_ops(ring, OP_CHUNK) == 0 {
+            return None;
+        }
+        ring.pop()
     }
 
     /// Demand load / software prefetch walk. `path` is `Drd` or `SwPf`.
@@ -561,7 +576,7 @@ impl Machine {
                 let mut retries = 0;
                 while comp.poison && retries < POISON_MAX_RETRIES {
                     retries += 1;
-                    obs::metrics::counter_add("fault.poison_retry", 1);
+                    self.poison_retries += 1;
                     comp = self.ports[d].mem_load(
                         comp.finish,
                         &mut self.pmu.m2ps[d],
@@ -570,7 +585,7 @@ impl Machine {
                     self.cores[c].truth.add_queue_delay("CXL", comp.device_wait);
                 }
                 let fin = if comp.poison {
-                    obs::metrics::counter_add("fault.poison_contained", 1);
+                    self.poisons_contained += 1;
                     comp.finish + self.cfg.cxl_media_latency
                 } else {
                     comp.finish

@@ -189,15 +189,6 @@ impl Fabric {
         }
     }
 
-    /// Select the per-op datapath on every host. Per-host batching never
-    /// crosses the fabric boundary: a slice still issues its offcore
-    /// requests through the same switch/pool stages in the same order.
-    pub fn set_datapath_mode(&mut self, mode: crate::machine::DatapathMode) {
-        for h in &mut self.hosts {
-            h.set_datapath_mode(mode);
-        }
-    }
-
     /// Pin a workload to `core` of host `host`.
     pub fn attach(&mut self, host: usize, core: usize, workload: Workload) {
         self.hosts[host].attach(core, workload);

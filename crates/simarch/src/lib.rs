@@ -33,7 +33,6 @@
 //! `(MachineConfig, workload, seed)`.
 
 pub mod arena;
-mod batch;
 pub mod cache;
 pub mod cha;
 pub mod config;
@@ -61,7 +60,7 @@ pub use config::{MachineConfig, MemPolicy};
 pub use fabric::{Fabric, FabricConfig, FabricEpochResult};
 pub use faults::{FaultClass, FaultPlan, FaultWindow};
 pub use invariants::{Invariants, Violation};
-pub use machine::{DatapathMode, EpochResult, Machine, RunSummary, SchedMode, StallError};
+pub use machine::{EpochResult, Machine, RunSummary, SchedMode, StallError};
 pub use mem::{MemNode, PhysAddr, CACHELINE, PAGE_SIZE};
 pub use module::{Edge, SimModule, StageId, StageKind, Topology};
 pub use pooled::PooledDevice;

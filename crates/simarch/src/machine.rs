@@ -40,22 +40,6 @@ pub enum SchedMode {
     Reference,
 }
 
-/// Which per-op datapath `step_core`-level execution uses. The two are
-/// proven equivalent (identical counter streams) across the full
-/// `SchedMode × DatapathMode` matrix by `tests/datapath_equivalence.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DatapathMode {
-    /// Staged batch pipeline (`batch.rs`): each scheduled core runs a
-    /// *slice* of consecutive ops pulled chunk-wise from the trace into a
-    /// machine-owned [`crate::arena::OpRing`], executed through stage-pass
-    /// functions with combined single-search cache probes. The default.
-    Batched,
-    /// The original one-op-per-schedule walk (`datapath.rs`) — retained
-    /// verbatim as the executable specification the batched pipeline is
-    /// differenced against.
-    Reference,
-}
-
 /// Result of running one scheduling epoch.
 pub struct EpochResult {
     /// All PMU counters at the epoch boundary.
@@ -170,6 +154,10 @@ pub struct Machine {
     faults: FaultPlan,
     /// Stages whose epoch-boundary PMU flush is suppressed this epoch.
     fault_dropout: Vec<StageId>,
+    /// Poisoned-completion retries and containments the walk counted this
+    /// epoch; `run_epoch` publishes them to obs once per epoch.
+    pub(crate) poison_retries: u64,
+    pub(crate) poisons_contained: u64,
     /// Bumped on every workload (re)attachment; consumers cache derived
     /// per-core state (e.g. the profiler's app labels) against it.
     workload_gen: u64,
@@ -178,12 +166,10 @@ pub struct Machine {
     host: crate::request::HostId,
     /// Core-stepping scheduler (see [`SchedMode`]).
     sched: SchedMode,
-    /// Per-op datapath (see [`DatapathMode`]).
-    datapath: DatapathMode,
     /// The wakeup wheel of the event-wheel scheduler; reset each epoch.
     wheel: EventWheel<StageId>,
-    /// Per-core op buffers of the batched datapath's gather pass; drained
-    /// FIFO, so buffering never reorders a trace.
+    /// Per-core op buffers, refilled chunk-wise from each trace by
+    /// `step_core`; drained FIFO, so buffering never reorders a trace.
     pub(crate) rings: Vec<crate::arena::OpRing>,
     /// Snapshot pool: a retired end-of-epoch snapshot handed back via
     /// [`Machine::recycle_snapshot`]. The next `run_epoch` overwrites it in
@@ -237,10 +223,11 @@ impl Machine {
             ops_at_last_epoch: vec![0; cfg.cores],
             faults: FaultPlan::new(),
             fault_dropout: Vec::new(),
+            poison_retries: 0,
+            poisons_contained: 0,
             workload_gen: 0,
             host: crate::request::HostId(0),
             sched: SchedMode::Wheel,
-            datapath: DatapathMode::Batched,
             wheel: EventWheel::new(0),
             rings: (0..cfg.cores)
                 .map(|_| crate::arena::OpRing::new())
@@ -267,17 +254,6 @@ impl Machine {
 
     pub fn sched_mode(&self) -> SchedMode {
         self.sched
-    }
-
-    /// Select the per-op datapath. Both modes produce identical counter
-    /// streams; `Reference` exists for the differential harness and for
-    /// bisecting any future batching regression.
-    pub fn set_datapath_mode(&mut self, mode: DatapathMode) {
-        self.datapath = mode;
-    }
-
-    pub fn datapath_mode(&self) -> DatapathMode {
-        self.datapath
     }
 
     /// This machine's tenant identity within a fabric (`HostId(0)` when
@@ -488,6 +464,14 @@ impl Machine {
                 SchedMode::Reference => self.reference_step_loop(end),
             }
         }
+        if self.poison_retries > 0 {
+            obs::metrics::counter_add("fault.poison_retry", self.poison_retries);
+            self.poison_retries = 0;
+        }
+        if self.poisons_contained > 0 {
+            obs::metrics::counter_add("fault.poison_contained", self.poisons_contained);
+            self.poisons_contained = 0;
+        }
         {
             let _drain = obs::span!("epoch.drain");
             let ec = self.cfg.epoch_cycles;
@@ -593,10 +577,7 @@ impl Machine {
                 .filter(|&i| !self.cores[i].done && self.cores[i].time < end)
                 .min_by_key(|&i| self.cores[i].time);
             let Some(c) = next else { break };
-            match self.datapath {
-                DatapathMode::Batched => self.run_core_slice(c, end),
-                DatapathMode::Reference => self.step_core(c),
-            }
+            self.step_core(c);
         }
     }
 
@@ -606,7 +587,8 @@ impl Machine {
     /// on ties — core `StageId`s order by index). Equivalence holds because
     /// stepping a core never moves another core's time, so the next argmin
     /// is always either the re-scheduled core or an undisturbed key already
-    /// in the wheel.
+    /// in the wheel. For the same reason a popped core keeps stepping, with
+    /// no wheel round trip, for as long as it would be popped next anyway.
     // pflint::hot — the simulator's innermost scheduling loop.
     fn wheel_step_loop(&mut self, end: u64) {
         self.wheel.reset(self.epoch_end);
@@ -619,9 +601,22 @@ impl Machine {
         }
         while let Some((_, id)) = self.wheel.pop_before(end) {
             let c = id.index as usize;
-            match self.datapath {
-                DatapathMode::Batched => self.run_core_slice(c, end),
-                DatapathMode::Reference => self.step_core(c),
+            // `limit` is the earliest other pending core's time (or the
+            // boundary); `c` also wins a tie there if its index is lower.
+            let mut limit = end;
+            let mut tie_win = false;
+            for (i, core) in self.cores.iter().enumerate() {
+                if i != c && !core.done && core.time < limit {
+                    limit = core.time;
+                    tie_win = c < i;
+                }
+            }
+            loop {
+                self.step_core(c);
+                let core = &self.cores[c];
+                if core.done || core.time > limit || (core.time == limit && !tie_win) {
+                    break;
+                }
             }
             if let Some(t) = self.cores[c].next_event() {
                 if t < end {

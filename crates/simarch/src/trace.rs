@@ -22,12 +22,12 @@ pub trait TraceSource: Send {
     /// `0` means the trace is finished (a [`TraceSource`] is terminal: once
     /// `next_op` returns `None` it stays `None`).
     ///
-    /// The batched datapath's gather pass calls this once per chunk through
-    /// the `Box<dyn TraceSource>`, replacing one virtual call per op with
-    /// one per chunk. Default methods are monomorphized per implementing
-    /// type, so the `next_op` calls *inside* this body dispatch statically
-    /// even when invoked through the trait object.
-    // pflint::hot — gather pass of the batched datapath.
+    /// The machine calls this once per chunk through the
+    /// `Box<dyn TraceSource>`, replacing one virtual call per op with one
+    /// per chunk. Default methods are monomorphized per implementing type,
+    /// so the `next_op` calls *inside* this body dispatch statically even
+    /// when invoked through the trait object.
+    // pflint::hot — chunk refill of the machine's per-op pull.
     fn fill_ops(&mut self, ring: &mut OpRing, max: usize) -> usize {
         let mut n = 0;
         while n < max {

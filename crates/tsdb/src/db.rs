@@ -119,6 +119,10 @@ pub struct Db {
     /// Logical retained bytes (§5.9), maintained incrementally on
     /// insert/delete so overhead accounting is O(1), not a scan.
     retained: usize,
+    /// Rows and first-row series [`Db::ingest`] stored since the last
+    /// [`Db::publish_metrics`].
+    unpublished_points: u64,
+    unpublished_series: u64,
 }
 
 impl Db {
@@ -232,9 +236,24 @@ impl Db {
         self.retained += row_bytes;
         if was_empty {
             self.retained += s.key_len;
-            obs::metrics::counter_add("tsdb.series", 1);
+            self.unpublished_series += 1;
         }
-        obs::metrics::counter_add("tsdb.points", 1);
+        self.unpublished_points += 1;
+    }
+
+    /// Add what [`Db::ingest`] stored since the last call to the
+    /// `tsdb.points` and `tsdb.series` obs counters. `ingest` runs once
+    /// per row, so it only counts; callers publish once per batch (a
+    /// profiled epoch, a fleet round).
+    pub fn publish_metrics(&mut self) {
+        if self.unpublished_points > 0 {
+            obs::metrics::counter_add("tsdb.points", self.unpublished_points);
+        }
+        if self.unpublished_series > 0 {
+            obs::metrics::counter_add("tsdb.series", self.unpublished_series);
+        }
+        self.unpublished_points = 0;
+        self.unpublished_series = 0;
     }
 
     /// Pre-reserve capacity for `additional` rows of `id` (timestamps and

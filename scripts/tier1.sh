@@ -18,11 +18,11 @@ run cargo test -q
 # Already part of the workspace suite above; named here so a failure is
 # unmistakable in CI logs.
 run cargo test -q -p simarch --test scheduler_equivalence
-# Datapath differential gate (DESIGN.md §2.2.4): the staged batch pipeline
-# and the retained per-op reference walk must match byte-for-byte across
-# the full SchedMode × DatapathMode 2×2 grid, fabric topologies included.
-# This is also where the reference datapath is exercised in CI every run.
-run cargo test -q -p simarch --test datapath_equivalence
+# Benchmark smoke runs (benchmark/README.md): the standalone benchmark
+# crate builds against the workspace crates and runs every workload for
+# about a second, untraced and traced, with its correctness checks on.
+# Any crate API change that breaks the benchmark fails here.
+run cargo test -q --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
 run cargo clippy --workspace -- -D warnings
 run cargo run --release -p pflint
@@ -77,8 +77,7 @@ diff -u "$obs_out/fabric_serial.txt" "$obs_out/fabric_jobs2.txt"
 # reads the committed files — it does not re-measure — so it catches a
 # forgotten `scripts/bench.sh` run after perf-relevant changes. Both the
 # serial/--jobs 2 diffs above and the goldens ran under the event wheel
-# and the batched datapath (the defaults), so this is the last gate
-# specific to those hot paths.
+# (the default), so this is the last gate specific to that hot path.
 run cargo run --release -p bench --bin perfbench -- --gate BENCH_pr9.json
 
 # Fleet-mode smoke (FLEET.md): a small sharded fleet serves a live
