@@ -20,24 +20,19 @@
 //! perf trajectory. Rows are merged by `(name, metric)`: re-running with
 //! the same `--label` updates in place and never duplicates.
 //!
-//! `--sched reference` runs the profiled scenario under the retained
-//! per-tick reference scheduler instead of the event wheel (the default),
-//! so before/after rows for the scheduler rewrite come from the same
-//! binary.
-//!
 //! `--gate BASELINE.json` skips measurement entirely: it reads the `--out`
 //! file and the baseline, compares `perfbench.profiled` epochs/s, and
 //! exits non-zero if the out file is missing or regresses below the
 //! baseline — the tier-1 perf gate.
 //!
 //! `cargo run --release -p bench --bin perfbench -- [--label L] [--out F]
-//!  [--epochs N] [--sched wheel|reference] [--no-write] [--gate BASE]`
+//!  [--epochs N] [--no-write] [--gate BASE]`
 
 use std::io::Write;
 use std::path::PathBuf;
 
 use pathfinder::profiler::{ProfileSpec, Profiler};
-use simarch::{Machine, MachineConfig, MemPolicy, SchedMode, Workload};
+use simarch::{Machine, MachineConfig, MemPolicy, Workload};
 
 /// One emitted measurement row.
 struct Row {
@@ -54,11 +49,10 @@ fn secs_since(start_ns: u64) -> f64 {
 /// The fixed profiled scenario: a short-epoch machine (so the per-epoch
 /// profiler work — snapshot, digest, techniques, ingest — dominates over
 /// raw trace simulation) with two seeded workloads that outlive the run.
-fn profiled_scenario(epochs: u64, sched: SchedMode) -> std::io::Result<Vec<Row>> {
+fn profiled_scenario(epochs: u64) -> std::io::Result<Vec<Row>> {
     let mut cfg = MachineConfig::tiny();
     cfg.epoch_cycles = 500;
     let mut machine = Machine::new(cfg);
-    machine.set_sched_mode(sched);
     let registry_app = |app: &str, seed: u64| {
         workloads::build(app, u64::MAX / 2, seed).ok_or_else(|| {
             std::io::Error::new(
@@ -313,13 +307,8 @@ fn main() -> std::io::Result<()> {
         gate(&out, &PathBuf::from(baseline))?;
         return session.finish();
     }
-    let sched = match arg_value(&args, "--sched").as_deref() {
-        Some("reference") => SchedMode::Reference,
-        _ => SchedMode::Wheel,
-    };
-
     println!("perfbench — fixed seeded scenarios, obs clock only\n");
-    let mut rows = profiled_scenario(epochs, sched)?;
+    let mut rows = profiled_scenario(epochs)?;
     rows.extend(ingest_scenario(64, 4_000));
 
     if let Some(label) = &label {

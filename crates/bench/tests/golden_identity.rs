@@ -3,7 +3,9 @@
 //! exact CSV bytes the row-oriented seed produced. The goldens under
 //! `tests/golden/` were captured *before* the PR 5 refactor landed, at
 //! reduced `--ops` so a debug binary finishes in seconds; debug and
-//! release builds were verified to emit identical bytes.
+//! release builds were verified to emit identical bytes. The fig12 and
+//! epoch-ablation goldens were captured the same way before the
+//! materializer's analysis reads became single-pass merges.
 //!
 //! `BENCH_OUT_DIR` points each run at a scratch directory so the committed
 //! `out/` goldens (the full-size ones `scripts/refresh_goldens.sh` checks)
@@ -70,6 +72,25 @@ fn fig14_fabric_bytes_are_identical() {
     let out = scratch_dir("fig14");
     run_figure(env!("CARGO_BIN_EXE_fig14_fabric"), "60000", &out);
     assert_bytes_identical(&out, "fig14_fabric.csv");
+}
+
+/// PFMaterializer's analysis reads: fig12 clusters bwaves' locality
+/// windows and correlates its progress with a co-runner's
+/// (`locality_windows`, `orthogonality`); the epoch ablation clusters
+/// windows at five snapshot granularities. At 150 000 ops every co-run
+/// scenario of fig12 still reports a correlation.
+#[test]
+fn fig12_locality_bytes_are_identical() {
+    let out = scratch_dir("fig12");
+    run_figure(env!("CARGO_BIN_EXE_fig12_locality"), "150000", &out);
+    assert_bytes_identical(&out, "fig12_locality.csv");
+}
+
+#[test]
+fn ablation_epoch_bytes_are_identical() {
+    let out = scratch_dir("ablation_epoch");
+    run_figure(env!("CARGO_BIN_EXE_ablation_epoch"), "150000", &out);
+    assert_bytes_identical(&out, "ablation_epoch.csv");
 }
 
 /// The per-op walk (`step_core → do_load → … → finish_load`) was once the

@@ -156,27 +156,19 @@ impl Materializer {
     }
 
     /// The hit series of one (core, level) scope across all snapshots —
-    /// PathFinder's "query scope" step.
+    /// PathFinder's "query scope" step: the four per-path series summed
+    /// per timestamp, in time order.
     pub fn hit_series(&self, core: usize, level: HitLevel) -> Vec<(u64, f64)> {
-        let per_path: Vec<Vec<(u64, f64)>> = PathGroup::ALL
-            .iter()
-            .map(|p| {
-                self.db
-                    .from("path_set")
-                    .filter("core", core.to_string())
-                    .filter("dst", level.label())
-                    .filter("path", p.label())
-                    .values("hits")
-            })
-            .collect();
-        // Sum per timestamp across paths.
-        let mut acc: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-        for series in per_path {
-            for (ts, v) in series {
-                *acc.entry(ts).or_insert(0.0) += v;
-            }
-        }
-        acc.into_iter().collect()
+        let core = core.to_string();
+        let per_path = PathGroup::ALL.map(|p| {
+            self.db
+                .from("path_set")
+                .filter("core", core.as_str())
+                .filter("dst", level.label())
+                .filter("path", p.label())
+                .values("hits")
+        });
+        sum_per_ts(&per_path)
     }
 
     /// Phase windows of consistent locality for a (core, level) scope —
@@ -197,18 +189,7 @@ impl Materializer {
     /// overlapping snapshots (Case 6: identify locality-impacting factors
     /// from co-located applications).
     pub fn correlate_cores(&self, a: usize, b: usize, level: HitLevel) -> Option<f64> {
-        let sa = self.hit_series(a, level);
-        let sb = self.hit_series(b, level);
-        let mb: std::collections::BTreeMap<u64, f64> = sb.into_iter().collect();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for (ts, v) in sa {
-            if let Some(&w) = mb.get(&ts) {
-                xs.push(v);
-                ys.push(w);
-            }
-        }
-        tsa::pearsonr(&xs, &ys)
+        pearson_on_shared_ts(&self.hit_series(a, level), &self.hit_series(b, level))
     }
 
     /// Pearson correlation between two arbitrary aligned samples — Case 5
@@ -254,17 +235,7 @@ impl Materializer {
     /// contend (r < 0)? Pearson correlation of the two cores' per-epoch ops
     /// on the overlapping snapshots.
     pub fn orthogonality(&self, a: usize, b: usize) -> Option<f64> {
-        let sa = self.ops_series(a);
-        let mb: std::collections::BTreeMap<u64, f64> = self.ops_series(b).into_iter().collect();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for (ts, v) in sa {
-            if let Some(&w) = mb.get(&ts) {
-                xs.push(v);
-                ys.push(w);
-            }
-        }
-        tsa::pearsonr(&xs, &ys)
+        pearson_on_shared_ts(&self.ops_series(a), &self.ops_series(b))
     }
 
     /// Spatial-locality digest (§4.6: "spatial data locality"): given one
@@ -300,6 +271,54 @@ impl Materializer {
     pub fn footprint_bytes(&self) -> usize {
         self.db.footprint_bytes()
     }
+}
+
+/// Sum time-sorted series per timestamp in one k-way merge. Each sum
+/// starts from `0.0` and adds series by series in slice order, rows in
+/// series order, as accumulating whole series one after another into
+/// per-timestamp totals would, so every sum has that order's bits for any
+/// `f64`.
+fn sum_per_ts(series: &[Vec<(u64, f64)>]) -> Vec<(u64, f64)> {
+    let mut heads = vec![0usize; series.len()];
+    let mut out = Vec::with_capacity(series.iter().map(Vec::len).max().unwrap_or(0));
+    while let Some(ts) = series
+        .iter()
+        .zip(&heads)
+        .filter_map(|(s, &h)| s.get(h).map(|&(t, _)| t))
+        .min()
+    {
+        let mut sum = 0.0;
+        for (s, h) in series.iter().zip(&mut heads) {
+            while let Some(&(_, v)) = s.get(*h).filter(|&&(t, _)| t == ts) {
+                sum += v;
+                *h += 1;
+            }
+        }
+        out.push((ts, sum));
+    }
+    out
+}
+
+/// Pearson's r over the snapshots two time-sorted series share, in one
+/// merge-join: each row of `a` pairs with the last row of `b` at its
+/// timestamp, if `b` has one (a later row of `b` at a timestamp supersedes
+/// an earlier one).
+fn pearson_on_shared_ts(a: &[(u64, f64)], b: &[(u64, f64)]) -> Option<f64> {
+    let mut xs = Vec::with_capacity(a.len());
+    let mut ys = Vec::with_capacity(a.len());
+    let mut j = 0;
+    for &(ts, v) in a {
+        while b.get(j).is_some_and(|&(t, _)| t <= ts) {
+            j += 1;
+        }
+        if let Some(&(t, w)) = j.checked_sub(1).and_then(|k| b.get(k)) {
+            if t == ts {
+                xs.push(v);
+                ys.push(w);
+            }
+        }
+    }
+    tsa::pearsonr(&xs, &ys)
 }
 
 #[cfg(test)]

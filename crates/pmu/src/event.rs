@@ -51,6 +51,7 @@ impl PathClass {
 
     pub const COUNT: usize = 7;
 
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             PathClass::Drd => 0,
@@ -130,6 +131,7 @@ impl RespScenario {
         RespScenario::CxlDram,
     ];
 
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             RespScenario::AnyResponse => 0,
@@ -180,6 +182,7 @@ impl L3HitSrc {
         L3HitSrc::XsnpHit,
         L3HitSrc::XsnpNone,
     ];
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             L3HitSrc::XsnpHitm => 0,
@@ -215,6 +218,7 @@ impl L3MissSrc {
         L3MissSrc::RemoteFwd,
         L3MissSrc::RemoteHitm,
     ];
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             L3MissSrc::LocalDram => 0,
@@ -375,6 +379,7 @@ const CORE_SIMPLE: usize = 49;
 impl Event for CoreEvent {
     const CARD: usize = CORE_SIMPLE + L3HitSrc::COUNT + L3MissSrc::COUNT + 6 * RespScenario::COUNT;
 
+    #[inline]
     fn index(self) -> usize {
         use CoreEvent::*;
         match self {
@@ -596,6 +601,7 @@ impl CoreEvent {
 
     /// The `ocr.*` event for a given path class and response scenario, as
     /// PFBuilder consumes it (Table 5, "Core" rows).
+    #[inline]
     pub fn ocr(path: PathClass, scen: RespScenario) -> CoreEvent {
         match path {
             PathClass::Drd => CoreEvent::OcrDemandDataRd(scen),
@@ -630,6 +636,7 @@ impl IaScen {
         IaScen::MissLlc,
         IaScen::MissCxl,
     ];
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             IaScen::Total => 0,
@@ -675,6 +682,7 @@ impl TorDrdScen {
         TorDrdScen::MissRemoteDdr,
         TorDrdScen::MissCxl,
     ];
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             TorDrdScen::Total => 0,
@@ -724,6 +732,7 @@ impl TorRfoScen {
         TorRfoScen::MissRemote,
         TorRfoScen::MissCxl,
     ];
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             TorRfoScen::Total => 0,
@@ -770,6 +779,7 @@ impl WbScen {
         WbScen::MToI,
         WbScen::SToI,
     ];
+    #[inline]
     pub fn idx(self) -> usize {
         match self {
             WbScen::EfToE => 0,
@@ -869,6 +879,7 @@ impl Event for ChaEvent {
         + CHA_WB              // inserts.ia_wb
         + 1; // occupancy.ia_wbmtoi
 
+    #[inline]
     fn index(self) -> usize {
         use ChaEvent::*;
         let base_ins_ia = CHA_SIMPLE;
@@ -1068,6 +1079,7 @@ pub enum ImcEvent {
 
 impl Event for ImcEvent {
     const CARD: usize = 10;
+    #[inline]
     fn index(self) -> usize {
         use ImcEvent::*;
         match self {
@@ -1141,6 +1153,7 @@ pub enum M2pEvent {
 
 impl Event for M2pEvent {
     const CARD: usize = 6;
+    #[inline]
     fn index(self) -> usize {
         use M2pEvent::*;
         match self {
@@ -1221,6 +1234,7 @@ pub enum CxlEvent {
 
 impl Event for CxlEvent {
     const CARD: usize = 15;
+    #[inline]
     fn index(self) -> usize {
         use CxlEvent::*;
         match self {
@@ -1316,6 +1330,7 @@ pub enum SwitchEvent {
 
 impl Event for SwitchEvent {
     const CARD: usize = 6;
+    #[inline]
     fn index(self) -> usize {
         use SwitchEvent::*;
         match self {
@@ -1385,6 +1400,7 @@ pub enum PoolEvent {
 
 impl Event for PoolEvent {
     const CARD: usize = 6;
+    #[inline]
     fn index(self) -> usize {
         use PoolEvent::*;
         match self {

@@ -4,14 +4,11 @@
 # Default mode: build perfbench in release mode and run its two fixed,
 # seeded scenarios (a full profiled run and the materializer-shaped
 # ingest loop; see PERFORMANCE.md). Results are merged into BENCH_pr10.json
-# by (name, metric) — pass a label to record a named variant, or
-# --sched reference to measure the retained per-tick scheduler instead
-# of the event wheel:
+# by (name, metric) — pass a label to record a named variant:
 #
 #   scripts/bench.sh                 # unlabelled rows (ad-hoc runs)
 #   scripts/bench.sh after           # perfbench.*.after rows
 #   scripts/bench.sh after --epochs 20000
-#   scripts/bench.sh reference --sched reference
 #
 # Fleet mode: sweep the fleetd collector daemon over host counts and
 # record hosts, epochs/s, points/s, scrape p99 and resident bytes into

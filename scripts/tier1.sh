@@ -72,6 +72,20 @@ echo "==> fig14_fabric --jobs 2 vs serial (byte-identical stdout)"
 ./target/release/fig14_fabric --jobs 2 > "$obs_out/fabric_jobs2.txt"
 diff -u "$obs_out/fabric_serial.txt" "$obs_out/fabric_jobs2.txt"
 
+# Materializer analysis smoke (DESIGN.md, PFMaterializer): fig12 clusters
+# locality windows and correlates co-runners (`locality_windows`,
+# `orthogonality`), the epoch ablation clusters windows at five snapshot
+# granularities. Both full-size goldens must regenerate byte-identical,
+# and a fig12 --jobs 2 rerun must print byte-identical stdout to the
+# serial run.
+run cargo run --release -p bench --bin ablation_epoch
+run git diff --exit-code crates/bench/out/ablation_epoch.csv
+echo "==> fig12_locality (serial, then --jobs 2: byte-identical stdout)"
+./target/release/fig12_locality > "$obs_out/locality_serial.txt"
+run git diff --exit-code crates/bench/out/fig12_locality.csv
+./target/release/fig12_locality --jobs 2 > "$obs_out/locality_jobs2.txt"
+diff -u "$obs_out/locality_serial.txt" "$obs_out/locality_jobs2.txt"
+
 # Perf gate (PERFORMANCE.md): BENCH_pr10.json must exist and its recorded
 # profiled throughput must not regress below the PR 9 baseline. The gate
 # reads the committed files — it does not re-measure — so it catches a
