@@ -4,7 +4,6 @@
 //! pathfinder-fleetd [--hosts N] [--shards K] [--rounds R]
 //!                   [--epochs-per-round E] [--seed S] [--retention N]
 //!                   [--listen ADDR|none] [--scrape-out FILE]
-//!                   [--bench] [--label L] [--out FILE]
 //!                   [--timings] [--timings-json FILE] [--trace FILE]
 //! ```
 //!
@@ -18,20 +17,15 @@
 //! `--scrape-out` performs a real TCP
 //! self-scrape after the last round and writes the exposition body to a
 //! file — `scripts/tier1.sh` validates it with `obs_validate --prom`.
-//! `--bench` records hosts, epochs/s, points/s, scrape p99 and resident
-//! bytes into a BENCH-style JSON file (default `BENCH_pr7.json`),
-//! merged by `(name, metric)` like `perfbench`.
 //!
 //! The whole binary is on the daemon surface: panic-free (pflint
 //! `panic-freedom` root) and obs-clocked.
 
-use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fleetd::aggregate::Log2Hist;
 use fleetd::shard::{self, spawn_server, Fleet};
 use fleetd::FleetConfig;
 
@@ -40,9 +34,6 @@ struct Opts {
     rounds: u64,
     listen: Option<String>,
     scrape_out: Option<PathBuf>,
-    bench: bool,
-    label: Option<String>,
-    out: PathBuf,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
@@ -51,9 +42,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         rounds: 4,
         listen: Some("127.0.0.1:9177".to_string()),
         scrape_out: None,
-        bench: false,
-        label: None,
-        out: PathBuf::from("BENCH_pr7.json"),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -87,9 +75,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 opts.listen = if addr == "none" { None } else { Some(addr) };
             }
             "--scrape-out" => opts.scrape_out = Some(PathBuf::from(value("--scrape-out")?)),
-            "--bench" => opts.bench = true,
-            "--label" => opts.label = Some(value("--label")?),
-            "--out" => opts.out = PathBuf::from(value("--out")?),
             other => return Err(format!("unknown flag `{other}` (see --help in FLEET.md)")),
         }
     }
@@ -118,70 +103,6 @@ fn scrape(addr: &str) -> Result<String, String> {
         Some((_, body)) => Ok(body.to_string()),
         None => Err("scrape response has no header/body split".to_string()),
     }
-}
-
-struct BenchRow {
-    name: String,
-    metric: String,
-    value: f64,
-    unit: String,
-}
-
-fn render_rows(rows: &[BenchRow]) -> String {
-    let mut out = String::from("[\n");
-    let last = rows.len().saturating_sub(1);
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {{\"name\": \"{}\", \"metric\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}",
-            r.name,
-            r.metric,
-            obs::json::fmt_f64(r.value),
-            r.unit,
-            if i < last { "," } else { "" }
-        );
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Merge rows into `path` by `(name, metric)`, `perfbench`-style:
-/// existing rows keep their position, fresh rows replace or append.
-fn merge_into_file(path: &PathBuf, fresh: Vec<BenchRow>) -> Result<(), String> {
-    let mut rows: Vec<BenchRow> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        if let Ok(v) = obs::json::parse(&text) {
-            for item in v.as_arr().unwrap_or(&[]) {
-                let (Some(name), Some(metric), Some(value), Some(unit)) = (
-                    item.get("name").and_then(|x| x.as_str()),
-                    item.get("metric").and_then(|x| x.as_str()),
-                    item.get("value").and_then(|x| x.as_f64()),
-                    item.get("unit").and_then(|x| x.as_str()),
-                ) else {
-                    continue;
-                };
-                rows.push(BenchRow {
-                    name: name.to_string(),
-                    metric: metric.to_string(),
-                    value,
-                    unit: unit.to_string(),
-                });
-            }
-        }
-    }
-    for f in fresh {
-        match rows
-            .iter_mut()
-            .find(|r| r.name == f.name && r.metric == f.metric)
-        {
-            Some(slot) => *slot = f,
-            None => rows.push(f),
-        }
-    }
-    std::fs::write(path, render_rows(&rows))
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("[json] {}", path.display());
-    Ok(())
 }
 
 fn run() -> Result<(), String> {
@@ -227,24 +148,11 @@ fn run() -> Result<(), String> {
     let t0 = obs::clock::now_ns();
     let mut epochs_total = 0u64;
     let mut points_total = 0u64;
-    let mut scrape_hist = Log2Hist::new();
-    let mut resident = 0u64;
     let mut round = 0u64;
     let stopped = fleet.drive(opts.rounds, shard::stop_requested, |summary| {
         epochs_total += summary.epochs;
         points_total += summary.points;
-        resident = summary.resident_bytes;
         round += 1;
-        if opts.bench {
-            if let Some(a) = &addr {
-                let s0 = obs::clock::now_ns();
-                let body = scrape(a)?;
-                scrape_hist.record(obs::clock::now_ns().saturating_sub(s0));
-                if body.is_empty() {
-                    return Err("bench scrape returned an empty body".to_string());
-                }
-            }
-        }
         println!(
             "round {round}: {} epochs, {} points, {:.1} ms (shard lag {:.1} ms), {} resident bytes",
             summary.epochs,
@@ -267,39 +175,9 @@ fn run() -> Result<(), String> {
         // Warm-up scrape so the written body includes the scrape-path
         // self-metrics (fleetd.scrape_ns / fleetd.scrapes) themselves.
         let _ = scrape(a)?;
-        let s0 = obs::clock::now_ns();
         let body = scrape(a)?;
-        scrape_hist.record(obs::clock::now_ns().saturating_sub(s0));
         std::fs::write(path, &body).map_err(|e| format!("write {}: {e}", path.display()))?;
         println!("[scrape] {} ({} bytes)", path.display(), body.len());
-    }
-
-    if opts.bench {
-        let name = match &opts.label {
-            Some(l) => format!("fleetd.hosts{}.{l}", opts.cfg.hosts),
-            None => format!("fleetd.hosts{}", opts.cfg.hosts),
-        };
-        let mk = |metric: &str, value: f64, unit: &str| BenchRow {
-            name: name.clone(),
-            metric: metric.to_string(),
-            value,
-            unit: unit.to_string(),
-        };
-        let per_sec = |n: u64| {
-            if wall_s > 0.0 {
-                n as f64 / wall_s
-            } else {
-                0.0
-            }
-        };
-        let rows = vec![
-            mk("hosts", f64::from(opts.cfg.hosts), "hosts"),
-            mk("epochs_per_sec", per_sec(epochs_total), "epochs/s"),
-            mk("points_per_sec", per_sec(points_total), "points/s"),
-            mk("scrape_p99_ns", scrape_hist.percentile(0.99) as f64, "ns"),
-            mk("resident_bytes", resident as f64, "bytes"),
-        ];
-        merge_into_file(&opts.out, rows)?;
     }
 
     println!("done: {round} rounds, {epochs_total} epochs, {points_total} points in {wall_s:.2}s");

@@ -11,6 +11,11 @@
 //!   headline counters (`pathfinder_host_*{host="N"}`).
 //! * `GET /healthz` — liveness.
 //!
+//! Request reads are bounded (`read_request_line`): a request over a
+//! line or header cap gets `400 Bad Request`, and one that has not arrived
+//! within one deadline is closed, so a client that drips bytes holds the
+//! accept loop for at most that deadline.
+//!
 //! This module deliberately contains no concurrency primitives: it reads
 //! the latest [`FleetSnapshot`] through [`SharedState::read`] and is
 //! driven from the thread spawned by `shard::spawn_server`. Wall-clock
@@ -20,7 +25,7 @@
 //! scrape path too.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, Read, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -28,6 +33,17 @@ use obs::metrics::HistSnapshot;
 use obs::prom::PromText;
 
 use crate::shard::{FleetSnapshot, SharedState};
+
+/// Longest request or header line read, line terminator included. A
+/// longer line is refused after exactly this many bytes.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// Most header lines read after the request line.
+const MAX_HEADERS: usize = 64;
+
+/// Wall time a client gets to send its whole request head, counted from
+/// accept.
+const REQUEST_DEADLINE_NS: u64 = 2_000_000_000;
 
 /// The Prometheus family of each counter column's fleet summary
 /// (`pathfinder_fleet_<counter>`). A fleet computes these once at launch,
@@ -93,25 +109,84 @@ fn respond(stream: &TcpStream, status: &str, content_type: &str, body: &str) {
     let _ = s.flush();
 }
 
-fn handle(stream: &TcpStream, state: &SharedState) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(2000)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(2000)));
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain headers so well-behaved clients see a clean close.
-    let mut header = String::new();
+/// Why a request head was refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum RequestError {
+    /// A request or header line ran past [`MAX_LINE_BYTES`].
+    LineTooLong,
+    /// More than [`MAX_HEADERS`] header lines.
+    TooManyHeaders,
+    /// The read failed or ran past the request deadline.
+    Unreadable,
+}
+
+/// Read one request head: the request line, then header lines up to a
+/// blank line or the end of input. Returns the request line; headers are
+/// discarded. No line reads more than [`MAX_LINE_BYTES`] of input.
+fn read_request_line<R: BufRead>(reader: &mut R) -> Result<String, RequestError> {
+    let mut line = Vec::new();
+    read_capped_line(reader, &mut line)?;
+    let request_line = String::from_utf8_lossy(&line).into_owned();
+    let mut headers = 0usize;
     loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header.trim_end().is_empty() => break,
-            Ok(_) => continue,
-            Err(_) => return,
+        if read_capped_line(reader, &mut line)? == 0 || line.iter().all(u8::is_ascii_whitespace) {
+            return Ok(request_line);
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(RequestError::TooManyHeaders);
         }
     }
+}
+
+/// Read up to and including the next `\n` into `line`, stopping after
+/// [`MAX_LINE_BYTES`]. Returns the byte count, 0 at the end of input.
+fn read_capped_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> Result<usize, RequestError> {
+    line.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES)
+        .read_until(b'\n', line)
+        .map_err(|_| RequestError::Unreadable)?;
+    if n as u64 == MAX_LINE_BYTES && !line.ends_with(b"\n") {
+        return Err(RequestError::LineTooLong);
+    }
+    Ok(n)
+}
+
+/// A connection's read side under one deadline: each read waits at most
+/// the time left, so dripping bytes cannot stretch the request.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline_ns: u64,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline_ns.saturating_sub(obs::clock::now_ns());
+        if left == 0 {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream
+            .set_read_timeout(Some(Duration::from_nanos(left)))?;
+        self.stream.read(buf)
+    }
+}
+
+fn handle(stream: &TcpStream, state: &SharedState) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(2000)));
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline_ns: obs::clock::now_ns().saturating_add(REQUEST_DEADLINE_NS),
+    });
+    let request_line = match read_request_line(&mut reader) {
+        Ok(line) => line,
+        Err(RequestError::Unreadable) => return,
+        Err(RequestError::LineTooLong | RequestError::TooManyHeaders) => {
+            respond(stream, "400 Bad Request", "text/plain", "bad request\n");
+            return;
+        }
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -157,5 +232,60 @@ pub fn serve(listener: &TcpListener, state: &SharedState) {
             Ok(s) => handle(&s, state),
             Err(_) => continue,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    const REQUEST_LINE: &[u8] = b"GET /metrics HTTP/1.1\r\n";
+    const HEADER: &[u8] = b"X-Pad: 1\r\n";
+
+    #[test]
+    fn oversized_lines_are_refused_at_the_cap() {
+        // A 1 MiB request line with no newline: refused after the cap.
+        let mut reader = Cursor::new(vec![b'a'; 1 << 20]);
+        assert_eq!(
+            read_request_line(&mut reader),
+            Err(RequestError::LineTooLong)
+        );
+        assert_eq!(reader.position(), MAX_LINE_BYTES);
+
+        // The same for a header line behind a valid request line.
+        let mut input = REQUEST_LINE.to_vec();
+        input.resize(REQUEST_LINE.len() + (1 << 20), b'a');
+        let mut reader = Cursor::new(input);
+        assert_eq!(
+            read_request_line(&mut reader),
+            Err(RequestError::LineTooLong)
+        );
+        assert_eq!(
+            reader.position(),
+            REQUEST_LINE.len() as u64 + MAX_LINE_BYTES
+        );
+    }
+
+    #[test]
+    fn header_count_is_capped() {
+        let request =
+            |headers: usize| Cursor::new([REQUEST_LINE, &HEADER.repeat(headers), b"\r\n"].concat());
+
+        // At the cap the request is read whole.
+        let mut reader = request(MAX_HEADERS);
+        assert_eq!(
+            read_request_line(&mut reader).as_deref(),
+            Ok("GET /metrics HTTP/1.1\r\n")
+        );
+
+        // 10 000 headers: refused at the first header past the cap.
+        let mut reader = request(10_000);
+        assert_eq!(
+            read_request_line(&mut reader),
+            Err(RequestError::TooManyHeaders)
+        );
+        let read = REQUEST_LINE.len() + (MAX_HEADERS + 1) * HEADER.len();
+        assert_eq!(reader.position(), read as u64);
     }
 }

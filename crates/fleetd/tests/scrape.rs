@@ -1,11 +1,13 @@
 //! Live scrape contract: a real TCP GET against the daemon's `/metrics`
 //! endpoint returns Prometheus text exposition that passes
-//! `obs::prom::validate` with the families FLEET.md promises.
+//! `obs::prom::validate` with the families FLEET.md promises, and a slow
+//! client cannot hold the endpoint away from other scrapers.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
-use fleetd::shard::{spawn_server, Fleet};
+use fleetd::shard::{spawn_server, stop_server, Fleet};
 use fleetd::FleetConfig;
 
 fn get(addr: &str, path: &str) -> (String, String) {
@@ -75,5 +77,69 @@ fn live_metrics_scrape_validates() {
     let (head, _) = get(&addr, "/nope");
     assert!(head.starts_with("HTTP/1.1 404"), "unknown path: {head}");
 
+    fleet.shutdown();
+}
+
+/// The server handles one connection at a time. A client that drips its
+/// request one byte every 100 ms for 15 s must hold it only until the
+/// request deadline: a scrape sent after the drip starts still completes
+/// within a few seconds.
+#[test]
+fn slowloris_client_does_not_hold_the_endpoint() {
+    let cfg = FleetConfig {
+        hosts: 2,
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::launch(cfg).expect("launch");
+    fleet.run_round().expect("round");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = spawn_server(fleet.state(), listener).expect("server");
+
+    let mut slow = TcpStream::connect(&addr).expect("connect slow client");
+    slow.write_all(b"G").expect("first byte");
+    std::thread::sleep(Duration::from_millis(100));
+
+    let t0 = obs::clock::now_ns();
+    let mut scraper = TcpStream::connect(&addr).expect("connect scraper");
+    scraper
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("send scrape");
+    scraper.set_nonblocking(true).expect("nonblocking");
+    let mut response = Vec::new();
+    let mut buf = [0u8; 4096];
+    let mut done_ns = None;
+    for _ in 0..150 {
+        // Fails once the server has given up on the slow client.
+        let _ = slow.write_all(b"E");
+        std::thread::sleep(Duration::from_millis(100));
+        loop {
+            match scraper.read(&mut buf) {
+                Ok(0) => {
+                    done_ns = Some(obs::clock::now_ns().saturating_sub(t0));
+                    break;
+                }
+                Ok(n) => response.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => panic!("scrape read: {e}"),
+            }
+        }
+        if done_ns.is_some() {
+            break;
+        }
+    }
+
+    let elapsed_ns = done_ns.expect("scrape still waiting after 15 s of dripping");
+    assert!(
+        elapsed_ns < 6_000_000_000,
+        "scrape took {} ms behind a slow client",
+        elapsed_ns / 1_000_000
+    );
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 200"), "scrape: {text}");
+    assert!(text.contains("pathfinder_fleet_inst_retired_any"));
+
+    drop(slow);
+    stop_server(&fleet.state(), &addr, server);
     fleet.shutdown();
 }

@@ -209,20 +209,11 @@ pub fn determinism_config() -> Vec<CrateRules> {
             rel_path: "crates/bench/src/scenario.rs",
             rules: &[UNWRAP_IN_IO],
         },
-        CrateRules {
-            rel_path: "crates/bench/src/bin/perfbench.rs",
-            rules: &[UNWRAP_IN_IO],
-        },
     ]
 }
 
 /// Crates whose PMU-event references are cross-checked against the registry.
-pub const PMU_SCAN_ROOTS: &[&str] = &[
-    "crates/core/src",
-    "crates/bench/src",
-    "crates/bench/benches",
-    "crates/tiering/src",
-];
+pub const PMU_SCAN_ROOTS: &[&str] = &["crates/core/src", "crates/bench/src", "crates/tiering/src"];
 
 /// Directory whose modules must register conservation-invariant hooks.
 pub const INVARIANT_SCAN_ROOT: &str = "crates/simarch/src";

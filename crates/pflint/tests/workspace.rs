@@ -1,5 +1,6 @@
-//! Workspace-level gate: the real source tree must be lint-clean, and the
-//! PMU registry the lint trusts must itself round-trip coherently.
+//! Workspace-level gate: the real source tree must be lint-clean, every
+//! path the lint is configured with must exist, and the PMU registry the
+//! lint trusts must itself round-trip coherently.
 
 use std::path::PathBuf;
 
@@ -20,6 +21,39 @@ fn workspace_is_lint_clean() {
             .map(|f| format!("  {f}"))
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// The scans skip a missing root silently, so a deleted file or directory
+/// would leave a lint root that checks nothing. Every configured path must
+/// name something in the workspace.
+#[test]
+fn every_configured_path_exists() {
+    let root = workspace_root();
+    let mut paths: Vec<&str> = pflint::determinism_config()
+        .iter()
+        .map(|c| c.rel_path)
+        .collect();
+    for list in [
+        pflint::PMU_SCAN_ROOTS,
+        pflint::FAULT_PLAN_SCAN_ROOTS,
+        pflint::CONCURRENCY_ALLOWLIST,
+        pflint::PANIC_FREEDOM_ROOTS,
+    ] {
+        paths.extend_from_slice(list);
+    }
+    paths.extend([
+        pflint::INVARIANT_SCAN_ROOT,
+        pflint::MODULE_SCAN_ROOT,
+        pflint::OBS_SCAN_ROOT,
+    ]);
+    let missing: Vec<&str> = paths
+        .into_iter()
+        .filter(|p| !root.join(p).exists())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "pflint configures paths missing from the workspace: {missing:?}"
     );
 }
 

@@ -60,7 +60,7 @@ impl Invariants for CovCounter {
 
 /// Ground-truth per-request accounting the simulator keeps *outside* the PMU
 /// — real hardware cannot see this; PathFinder's estimators are validated
-/// against it in the ablation benches.
+/// against it by the `ablation_attribution` figure.
 ///
 /// Storage is a flat `(path, serve location)` grid rather than the seed's
 /// ordered map: `record_served` runs once per executed op, and a BTreeMap

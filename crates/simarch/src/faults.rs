@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn plan_rejects_invalid_windows_at_construction() {
         let res = FaultPlan::new().with(window(FaultClass::PoisonedLine, StageId::cha()));
-        let err = res.err().expect("illegal target must be rejected");
+        let err = res.expect_err("illegal target must be rejected");
         assert!(err.contains("invalid fault window"), "{err}");
     }
 

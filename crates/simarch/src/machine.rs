@@ -340,7 +340,7 @@ impl Machine {
     }
 
     /// Ground-truth per-core statistics (not visible to real PMUs; used by
-    /// the ablation benches).
+    /// the `ablation_attribution` figure).
     pub fn ground_truth(&self, core: usize) -> &crate::core_model::GroundTruth {
         &self.cores[core].truth
     }

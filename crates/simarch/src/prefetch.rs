@@ -195,7 +195,7 @@ mod tests {
     fn random_pattern_issues_nothing() {
         let mut p = pf();
         for &l in &[5u64, 900, 17, 4400, 23, 1, 777] {
-            assert!(p.observe(l).is_empty() || false);
+            assert!(p.observe(l).is_empty());
         }
         assert_eq!(p.issued(), 0);
     }

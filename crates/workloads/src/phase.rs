@@ -179,10 +179,10 @@ mod tests {
         ];
         let mut m = MixedPhase::new(1 << 16, phases, 40, 1);
         let mut stores_by_chunk = [0usize; 4];
-        for chunk in 0..4 {
+        for stores in &mut stores_by_chunk {
             for _ in 0..10 {
                 if matches!(m.next_op().unwrap().kind, AccessKind::Store) {
-                    stores_by_chunk[chunk] += 1;
+                    *stores += 1;
                 }
             }
         }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything CI (and a reviewer) requires before merge.
-# Runs the release build, the full test suite, formatting, clippy with
-# warnings denied, and the pflint static-analysis pass (STATIC_ANALYSIS.md).
+# Runs the release build, the full test suite, formatting, clippy over all
+# targets with warnings denied, and the pflint static-analysis pass
+# (STATIC_ANALYSIS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,7 +25,7 @@ run cargo test -q -p simarch --test scheduler_equivalence
 # Any crate API change that breaks the benchmark fails here.
 run cargo test -q --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
-run cargo clippy --workspace -- -D warnings
+run cargo clippy --workspace --all-targets -- -D warnings
 run cargo run --release -p pflint
 
 # Static-analysis regression gate (STATIC_ANALYSIS.md): the JSON findings
@@ -37,21 +38,25 @@ run git diff --exit-code crates/pflint/baseline.json
 
 # Observability acceptance (OBSERVABILITY.md): a figure run with
 # --timings-json must emit valid pathfinder-obs-v1 JSON containing the two
-# mandatory top-level phases.
+# mandatory top-level phases. The same run regenerates the full-size fig6
+# golden, which must be byte-identical: timing the run must not change it.
 obs_out="$(mktemp -d)"
 trap 'rm -rf "$obs_out"' EXIT
 run cargo run --release -p bench --bin fig6_stall_breakdown -- \
     --timings-json "$obs_out/timings.json"
+run git diff --exit-code crates/bench/out/fig6_stall_breakdown.csv
 run cargo run --release -p obs --bin obs_validate -- \
     "$obs_out/timings.json" epoch.machine epoch.profiler
 
 # Scenario fan-out acceptance (DESIGN.md): the same figure under --jobs 2
-# must print byte-identical output to a serial run. Complements the
-# in-process tests by catching stray printing from inside a worker.
+# must print byte-identical output to a serial run and leave the fig6
+# golden unchanged. Complements the in-process tests by catching stray
+# printing from inside a worker.
 echo "==> fig6_stall_breakdown --jobs 2 vs serial (byte-identical stdout)"
 ./target/release/fig6_stall_breakdown > "$obs_out/serial.txt"
 ./target/release/fig6_stall_breakdown --jobs 2 > "$obs_out/jobs2.txt"
 diff -u "$obs_out/serial.txt" "$obs_out/jobs2.txt"
+run git diff --exit-code crates/bench/out/fig6_stall_breakdown.csv
 
 # Fault-injection smoke (FAULTS.md): the fault-diagnosis figure runs its
 # fixed deterministic fault plans and the regenerated golden must be
@@ -85,14 +90,6 @@ echo "==> fig12_locality (serial, then --jobs 2: byte-identical stdout)"
 run git diff --exit-code crates/bench/out/fig12_locality.csv
 ./target/release/fig12_locality --jobs 2 > "$obs_out/locality_jobs2.txt"
 diff -u "$obs_out/locality_serial.txt" "$obs_out/locality_jobs2.txt"
-
-# Perf gate (PERFORMANCE.md): BENCH_pr10.json must exist and its recorded
-# profiled throughput must not regress below the PR 9 baseline. The gate
-# reads the committed files — it does not re-measure — so it catches a
-# forgotten `scripts/bench.sh` run after perf-relevant changes. Both the
-# serial/--jobs 2 diffs above and the goldens ran under the event wheel
-# (the default), so this is the last gate specific to that hot path.
-run cargo run --release -p bench --bin perfbench -- --gate BENCH_pr9.json
 
 # Fleet-mode smoke (FLEET.md): a small sharded fleet serves a live
 # /metrics scrape whose Prometheus exposition validates (TYPE lines,
