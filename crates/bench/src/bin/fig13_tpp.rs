@@ -14,8 +14,6 @@ use bench::{ops_from_args, pct_change, print_table, ratio, write_csv};
 use pathfinder::estimator::{any_requests, cxl_requests, PfEstimator, Tier};
 use pathfinder::model::{HitLevel, PathGroup};
 use pathfinder::profiler::{ProfileSpec, Profiler};
-#[allow(unused_imports)]
-use pmu::ChaEvent as _ChaEventForDocs;
 use pmu::M2pEvent;
 use simarch::{Machine, MachineConfig, MemPolicy, Workload};
 use tiering::{ClassLatencies, ColloidTpp, Migration, Tpp, TppConfig};

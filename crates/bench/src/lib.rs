@@ -6,10 +6,12 @@
 //! counter delta, and write results both as an aligned text table on stdout
 //! and as CSV under `bench/out/`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod scenario;
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use pathfinder::profiler::{ProfileSpec, Profiler};
 use pathfinder::Report;
@@ -154,8 +156,10 @@ pub fn out_dir() -> std::io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Write a CSV artefact and echo its path. I/O failures propagate so the
-/// figure binaries exit nonzero instead of panicking mid-run.
+/// Write a CSV artefact and echo its path, relative to the workspace root
+/// so captured stdout does not depend on where the checkout lives (a path
+/// outside the workspace as given). I/O failures propagate so the figure
+/// binaries exit nonzero instead of panicking mid-run.
 pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
     let path = out_dir()?.join(name);
     let mut f = std::fs::File::create(&path)?;
@@ -163,7 +167,11 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io:
     for row in rows {
         writeln!(f, "{}", row.join(","))?;
     }
-    println!("\n[csv] {}", path.display());
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    let shown = root
+        .and_then(|r| path.strip_prefix(r).ok())
+        .unwrap_or(&path);
+    println!("\n[csv] {}", shown.display());
     Ok(())
 }
 

@@ -54,6 +54,11 @@ impl Jobs {
 /// owns its `Machine`s and returns a value, it does not print. Per-machine
 /// seeds belong in the items themselves so a scenario's work is a pure
 /// function of its grid cell, never of which worker ran it.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sanctioned fan-out: scoped workers, an atomic cursor, an index-ordered merge"
+)]
 pub fn map_scenarios<I, T, F>(jobs: Jobs, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,

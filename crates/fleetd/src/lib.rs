@@ -17,18 +17,27 @@
 //!   counter totals in `pmu::registry::all_events()` column order;
 //! * [`aggregate`] — a mergeable log2 histogram and per-counter fleet
 //!   roll-ups (sum + p50/p95/p99 across hosts);
-//! * [`shard`] — the only concurrency in the crate (a reviewed
-//!   `concurrency-hygiene` allowlist entry): worker threads, command and
-//!   report channels, the shared scrape snapshot, and the [`shard::Fleet`]
-//!   coordinator;
+//! * [`shard`] — the only concurrency in the crate, each use under an
+//!   item-level `#[expect]` of the root `clippy.toml`'s bans: worker
+//!   threads, command and report channels, the shared scrape snapshot,
+//!   and the [`shard::Fleet`] coordinator;
 //! * [`server`] — the scrape endpoint (`/metrics`, `/healthz`), free of
 //!   concurrency primitives itself.
 //!
 //! Correctness anchor: with a fixed seed, the per-host counter streams are
 //! byte-identical regardless of shard count — sharding is a throughput
-//! knob, never a semantic one. The daemon surface is a pflint
-//! `panic-freedom` root and routes every wall-clock read through
-//! [`obs::clock`].
+//! knob, never a semantic one. The daemon surface denies clippy's panic
+//! lints, is a pflint `panic-freedom` root, and routes every wall-clock
+//! read through [`obs::clock`].
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod aggregate;
 pub mod host;

@@ -18,8 +18,18 @@
 //! self-scrape after the last round and writes the exposition body to a
 //! file — `scripts/tier1.sh` validates it with `obs_validate --prom`.
 //!
-//! The whole binary is on the daemon surface: panic-free (pflint
-//! `panic-freedom` root) and obs-clocked.
+//! The whole binary is on the daemon surface: panic-free (the clippy
+//! panic lints denied below, plus pflint's `panic-freedom` root) and
+//! obs-clocked.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};

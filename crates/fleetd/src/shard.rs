@@ -1,6 +1,7 @@
 //! Shard workers and the fleet coordinator — all of fleetd's concurrency
-//! lives in this one file (a reviewed `concurrency-hygiene` allowlist
-//! entry; see STATIC_ANALYSIS.md).
+//! lives in this one file. The root `clippy.toml` disallows threads,
+//! locks, atomics and channels everywhere else; each item here that uses
+//! one carries its own `#[expect]` (see STATIC_ANALYSIS.md).
 //!
 //! Topology: hosts are split into contiguous id ranges, one range per
 //! shard. Each shard is a long-lived worker thread that owns its
@@ -25,9 +26,15 @@
 //! `tests/determinism.rs`.
 
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::channel;
+use std::sync::Arc;
+#[expect(clippy::disallowed_types, reason = "the shard runtime's sync types")]
+use std::sync::{
+    atomic::AtomicBool,
+    mpsc::{Receiver, Sender},
+    Mutex,
+};
 use std::thread::JoinHandle;
 
 use tsdb::{Db, SeriesId};
@@ -37,6 +44,10 @@ use crate::host::{self, HostSim};
 use crate::FleetConfig;
 
 /// Commands the coordinator sends to a shard worker.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a dump replies over its own channel"
+)]
 enum Cmd {
     /// Advance every host by the round's epoch budget and report.
     Round,
@@ -88,7 +99,11 @@ pub struct FleetSnapshot {
 /// The coordinator/scrape handshake: the one piece of shared mutable
 /// state, a mutex around the latest [`FleetSnapshot`]. The server module
 /// only sees [`SharedState::read`], keeping lock handling (and the
-/// concurrency allowlist) confined to this file.
+/// concurrency) confined to this file.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the coordinator/scrape handshake: a snapshot lock and a stop flag"
+)]
 pub struct SharedState {
     inner: Mutex<FleetSnapshot>,
     /// Raised once by [`stop_server`]; `server::serve` polls it at the
@@ -98,6 +113,7 @@ pub struct SharedState {
 }
 
 impl SharedState {
+    #[expect(clippy::disallowed_types, reason = "builds the handshake")]
     fn new() -> SharedState {
         SharedState {
             inner: Mutex::new(FleetSnapshot::default()),
@@ -140,6 +156,7 @@ pub struct RoundSummary {
 }
 
 /// A running fleet: shard worker threads plus the coordinator state.
+#[expect(clippy::disallowed_types, reason = "the coordinator's shard channels")]
 pub struct Fleet {
     cfg: FleetConfig,
     names: Arc<Vec<String>>,
@@ -156,6 +173,10 @@ pub struct Fleet {
 impl Fleet {
     /// Build every host, partition them into contiguous shards, and spawn
     /// one worker thread per shard.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "spawns the shard workers and their channels"
+    )]
     pub fn launch(cfg: FleetConfig) -> Result<Fleet, String> {
         cfg.validate()?;
         let names = Arc::new(host::counter_names());
@@ -330,6 +351,7 @@ impl Fleet {
     /// Concatenate every host's recorded counter stream, in host-id order
     /// (shards hold contiguous ascending ranges, so shard order is id
     /// order). Requires `FleetConfig::record_streams`.
+    #[expect(clippy::disallowed_methods, reason = "one reply channel per shard")]
     pub fn dump_streams(&self) -> Result<String, String> {
         let mut out = String::new();
         for tx in &self.txs {
@@ -359,6 +381,7 @@ impl Fleet {
 /// Serve the scrape endpoint from a named background thread. The server
 /// loop itself lives in `crate::server`, which stays free of concurrency
 /// primitives.
+#[expect(clippy::disallowed_methods, reason = "the scrape server's thread")]
 pub fn spawn_server(
     state: Arc<SharedState>,
     listener: TcpListener,
@@ -387,6 +410,10 @@ pub fn stop_server(state: &SharedState, addr: &str, handle: JoinHandle<()>) {
 /// single atomic store (async-signal-safety), so delivery is decoupled
 /// from draining: handlers set this flag, and [`Fleet::drive`] polls it
 /// between rounds via [`stop_requested`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the only state a signal handler may touch"
+)]
 static STOP: AtomicBool = AtomicBool::new(false);
 
 const SIGINT: i32 = 2;
@@ -394,7 +421,7 @@ const SIGTERM: i32 = 15;
 
 extern "C" {
     /// libc `signal(2)`/`raise(3)` — the workspace's only foreign calls
-    /// (pinned in pflint's `no_unsafe` census): std exposes no
+    /// (each call site expects `unsafe_code`): std exposes no
     /// signal-disposition API, and fleetd must drain its shards instead
     /// of aborting mid-round when the operator sends Ctrl-C or SIGTERM.
     /// The handler travels as a plain pointer-sized value, which is what
@@ -412,6 +439,7 @@ extern "C" fn on_stop_signal(_signum: i32) {
 /// daemon startup, before the first round. Registration failures are
 /// ignored: the daemon still runs, it just dies unsolicited on signal —
 /// exactly the pre-handler behaviour.
+#[expect(unsafe_code, reason = "libc signal(2); std has no signal API")]
 pub fn install_stop_handlers() {
     unsafe {
         signal(SIGINT, on_stop_signal as extern "C" fn(i32) as usize);
@@ -437,6 +465,7 @@ pub fn clear_stop() {
 /// Deliver `SIGTERM` to the current process — the test hook for the
 /// real handler path (`tests/shutdown.rs`); libc `raise(3)` runs the
 /// handler synchronously on the calling thread before returning.
+#[expect(unsafe_code, reason = "libc raise(3); std has no signal API")]
 pub fn raise_sigterm() {
     unsafe {
         raise(SIGTERM);
@@ -444,6 +473,10 @@ pub fn raise_sigterm() {
 }
 
 /// Shard worker body: owns its hosts and DB, answers commands until Stop.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a worker's command and report channels"
+)]
 fn worker_main(
     cfg: FleetConfig,
     names: Arc<Vec<String>>,

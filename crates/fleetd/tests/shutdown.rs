@@ -1,13 +1,17 @@
-//! Graceful-shutdown anchors (ISSUE 8): a stop request drains the
-//! in-flight round — no counter round is ever torn — and the scrape
-//! listener unblocks and closes instead of leaking a detached accept
-//! loop.
+//! Graceful-shutdown anchors: a stop request drains the in-flight
+//! round — no counter round is ever torn — and the scrape listener
+//! unblocks and closes instead of leaking a detached accept loop, even
+//! with a slow client in flight and a scrape queued behind it.
 //!
 //! Torn-round check: a fleet asked for many rounds but stopped after
 //! the first must be byte-identical (streams, snapshot, roll-ups) to a
 //! fresh fleet asked for exactly one round. `Fleet::drive` only
 //! consults the stop predicate at round boundaries, so the two runs
 //! see the same sequence of whole rounds.
+
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 use fleetd::shard::{self, spawn_server, Fleet};
 use fleetd::FleetConfig;
@@ -97,5 +101,65 @@ fn stop_server_unblocks_and_closes_the_listener() {
         std::net::TcpStream::connect(&addr).is_err(),
         "the listener must be closed once stop_server returns"
     );
+    fleet.shutdown();
+}
+
+/// A client drips its request line into the single accept loop and a
+/// full `GET /metrics` queues behind it. `stop_server` must return within
+/// the 2 s request deadline plus a margin, and the queued client must get
+/// a complete response or EOF/reset — never a hang.
+#[test]
+fn stop_server_during_a_scrape_never_hangs() {
+    let mut fleet = Fleet::launch(cfg(2, 1)).expect("launch fleet");
+    fleet.run_round().expect("round");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let state = fleet.state();
+    let handle = spawn_server(fleet.state(), listener).expect("spawn server");
+
+    let mut slow = TcpStream::connect(&addr).expect("connect slow client");
+    for byte in b"GET /met" {
+        slow.write_all(&[*byte]).expect("drip");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let mut queued = TcpStream::connect(&addr).expect("connect queued scraper");
+    queued
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("send scrape");
+
+    let t0 = obs::clock::now_ns();
+    shard::stop_server(&state, &addr, handle);
+    let took_ms = obs::clock::now_ns().saturating_sub(t0) / 1_000_000;
+    assert!(
+        took_ms < 4_000,
+        "stop_server took {took_ms} ms behind a slow client"
+    );
+
+    // A read timeout here means the queued client was left hanging.
+    queued
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut response = Vec::new();
+    if let Err(e) = queued.read_to_end(&mut response) {
+        assert!(
+            matches!(
+                e.kind(),
+                ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+            ),
+            "queued scrape neither answered nor closed: {e}"
+        );
+    }
+    if !response.is_empty() {
+        let text = String::from_utf8_lossy(&response);
+        let (head, body) = text.split_once("\r\n\r\n").expect("a whole head");
+        assert!(head.starts_with("HTTP/1.1 200"), "queued scrape: {head}");
+        let length = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.parse::<usize>().ok())
+            .expect("Content-Length");
+        assert_eq!(body.len(), length, "the queued scrape got a torn body");
+    }
+    drop(slow);
     fleet.shutdown();
 }

@@ -8,6 +8,15 @@
 //!   `subsystem.phase` → `pathfinder_subsystem_phase` mangled form, no
 //!   duplicate samples) and require the given metric families.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {

@@ -1,22 +1,23 @@
 //! The workspace's single wall-clock choke point.
 //!
-//! Every simulator/profiler crate is forbidden from reading wall time
-//! directly (pflint's `wall-clock` rule); the one sanctioned read lives
-//! here, and pflint's `obs-choke-point` rule verifies that `Instant` never
-//! appears anywhere else in this crate either. Span timestamps are
-//! nanoseconds since the process-wide origin, which is pinned on the first
-//! read (normally by [`crate::enable`]).
+//! The root `clippy.toml` disallows `Instant`, `SystemTime` and their
+//! `now` in every crate; [`now_ns`] is the one item that expects those
+//! lints, so every other wall-time read goes through it. Span timestamps
+//! are nanoseconds since the process-wide origin, which is pinned on the
+//! first read (normally by [`crate::enable`]).
 
 use std::sync::OnceLock;
-// The sanctioned wall-clock type; confined to this module.
-use std::time::Instant; // pflint::allow(wall-clock)
-
-static ORIGIN: OnceLock<Instant> = OnceLock::new();
 
 /// Nanoseconds elapsed since the pinned origin. The first call pins the
 /// origin and returns 0.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the workspace's one sanctioned wall-clock read"
+)]
 pub fn now_ns() -> u64 {
-    let origin = ORIGIN.get_or_init(Instant::now); // pflint::allow(wall-clock)
+    static ORIGIN: OnceLock<std::time::Instant> = OnceLock::new();
+    let origin = ORIGIN.get_or_init(std::time::Instant::now);
     origin.elapsed().as_nanos() as u64
 }
 

@@ -24,14 +24,23 @@
 //! metric updates return before touching any lock, so model runs with obs
 //! off and on are byte-identical (enforced by `tests/obs.rs`). The only
 //! wall-clock read in the workspace's model crates lives behind the single
-//! choke point in [`clock`], verified by `pflint`'s `obs-choke-point` rule
+//! choke point in [`clock`], enforced by the root `clippy.toml`
 //! (see STATIC_ANALYSIS.md).
 //!
 //! Naming scheme (see OBSERVABILITY.md): `epoch.*` for machine/profiler
 //! epoch phases, `technique.*` for the four PathFinder techniques,
 //! `tsdb.*` for the materializer's store.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
+use std::sync::atomic::Ordering;
 
 pub mod cli;
 pub mod clock;
@@ -41,7 +50,11 @@ pub mod metrics;
 pub mod prom;
 pub mod span;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+#[expect(
+    clippy::disallowed_types,
+    reason = "the process-wide enabled flag every recording call checks"
+)]
+static ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Turn the observability layer on. Spans and metrics recorded before this
 /// call are lost (they were never taken).
@@ -92,6 +105,10 @@ macro_rules! span {
 /// Unit tests toggling the global enabled flag serialise on this lock so
 /// the parallel test harness cannot interleave enable/disable.
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "serialises tests on the global recorder"
+)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())

@@ -6,7 +6,6 @@
 //! `overhead.memory_bytes`, `epoch.digest_ns`, ...).
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Number of power-of-two histogram buckets. Bucket `i` holds values whose
 /// bit length is `i` (`0` → bucket 0, `[2^(i-1), 2^i)` → bucket `i`);
@@ -120,7 +119,11 @@ struct Registry {
     hists: BTreeMap<String, Histogram>,
 }
 
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
+#[expect(
+    clippy::disallowed_types,
+    reason = "the process-wide registry; metrics update from any thread"
+)]
+static REGISTRY: std::sync::Mutex<Option<Registry>> = std::sync::Mutex::new(None);
 
 fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
     let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());

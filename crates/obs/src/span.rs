@@ -15,8 +15,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use crate::clock;
@@ -66,8 +65,13 @@ struct Recorder {
     agg: BTreeMap<&'static str, PhaseStat>,
 }
 
-static RECORDER: Mutex<Option<Recorder>> = Mutex::new(None);
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+#[expect(
+    clippy::disallowed_types,
+    reason = "the process-wide recorder; spans close on any thread"
+)]
+static RECORDER: std::sync::Mutex<Option<Recorder>> = std::sync::Mutex::new(None);
+#[expect(clippy::disallowed_types, reason = "dense thread ids across threads")]
+static NEXT_TID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };

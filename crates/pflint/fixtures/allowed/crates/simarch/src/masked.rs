@@ -1,11 +1,13 @@
 // pflint fixture: needles that live only in comments, strings, and char
 // literals — the lexer masks them all. The old line-regex scanner
 // produced phantom findings on every line below.
-/* HashMap<u64, u64>, Instant::now(), thread_rng(), OsRng — all prose. */
+/* port: FifoServer, format!(), Vec::new() — all prose. */
+// pflint::hot
 pub fn doc_only() -> &'static str {
-    "SystemTime::now() and FaultPlan from_entropy and unsafe { Mutex }"
+    "format!() and vec![] and .collect() { String::new()"
 }
 
+// pflint::hot
 pub fn braces(input: &str) -> usize {
     let open = '{';
     input.matches(open).count() + "}".len()

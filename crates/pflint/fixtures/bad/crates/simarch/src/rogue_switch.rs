@@ -1,13 +1,9 @@
-//! Seeded violations for the fabric switch stage: a SimModule whose
-//! counter list bypasses `crate::module::registered` — nothing pins the
-//! per-port switch events to pmu::registry — and an arbitration tick
-//! that reads the wall clock (fabric replay must be cycle-driven).
+//! Seeded violation for the fabric switch stage: a SimModule whose
+//! counter list bypasses `crate::module::registered`, so nothing pins the
+//! per-port switch events to pmu::registry.
 
 impl SimModule for RogueSwitch {
     fn counters(&self) -> &'static [&'static str] {
         &["unc_cxlsw_ingress_inserts.port", "unc_cxlsw_arb_grants.port"]
-    }
-    fn tick(&mut self, _until: u64) {
-        let _grant_stamp = Instant::now();
     }
 }

@@ -1,14 +1,6 @@
-// pflint fixture: deliberately nondeterministic simulator module.
-use std::collections::HashMap;
-use std::time::Instant;
-
+// pflint fixture: a simulator module with a queue-bearing field and no
+// conservation-invariant hook.
 pub struct BadCore {
-    pub served: HashMap<u64, u64>,
+    pub served: u64,
     pub port: FifoServer,
-}
-
-pub fn bad_epoch() -> u128 {
-    let t = Instant::now();
-    let _r = rand::thread_rng();
-    t.elapsed().as_nanos()
 }

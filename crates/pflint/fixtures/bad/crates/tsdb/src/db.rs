@@ -1,11 +1,5 @@
-// pflint fixture: nondeterministic scan order plus panicking file I/O.
-use std::collections::HashSet;
-
-pub fn load(path: &str) -> HashSet<String> {
-    let text = std::fs::read_to_string(path).expect("tsdb read");
-    text.lines().map(|s| s.to_string()).collect()
-}
-
+// pflint fixture: allocations inside an annotated ingest body, plus
+// cold-path formatting outside it.
 // pflint::hot
 pub fn ingest(ts: u64, out: &mut Vec<String>) {
     out.push(format!("series-{ts}"));

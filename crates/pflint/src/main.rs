@@ -1,112 +1,28 @@
 //! pflint CLI: run the workspace static-analysis pass and report findings.
 //!
 //! ```text
-//! cargo run -p pflint [-- [ROOT] [OPTIONS]]
-//!
-//! OPTIONS:
-//!   --format text|json       output format (default: text)
-//!   --rule <id>              run only this rule (repeatable)
-//!   --baseline <file>        suppress findings recorded in <file>; exit 1
-//!                            only on findings NOT in the baseline
-//!   --write-baseline <file>  write current findings to <file> as JSON and
-//!                            exit 0
+//! cargo run -p pflint [-- ROOT]
 //! ```
 //!
 //! With no ROOT the workspace root is derived from the crate's own manifest
-//! directory, so the binary works from any cwd inside the repo. The JSON
-//! format is the `pflint-findings-v1` schema documented in
-//! STATIC_ANALYSIS.md; `--baseline` matches on `(rule, file, message)` so
-//! unrelated edits that shift a legacy finding's line do not churn CI.
+//! directory, so the binary works from any cwd inside the repo. Findings
+//! print as `file:line: [rule] message`; the exit status is 0 when clean,
+//! 1 on findings, 2 on a usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Cli {
-    root: PathBuf,
-    format: Format,
-    rules: Vec<String>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-}
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("pflint: {msg}");
-    eprintln!(
-        "usage: pflint [ROOT] [--format text|json] [--rule ID]... \
-         [--baseline FILE] [--write-baseline FILE]"
-    );
-    ExitCode::from(2)
-}
-
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        root: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-        format: Format::Text,
-        rules: Vec::new(),
-        baseline: None,
-        write_baseline: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let mut saw_root = false;
-    while let Some(arg) = args.get(i) {
-        match arg.as_str() {
-            "--format" => {
-                let v = args.get(i + 1).ok_or("--format needs a value")?;
-                cli.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => return Err(format!("unknown format `{other}`")),
-                };
-                i += 2;
-            }
-            "--rule" => {
-                let v = args.get(i + 1).ok_or("--rule needs a value")?;
-                if !pflint::rules::ALL.contains(&v.as_str()) {
-                    return Err(format!(
-                        "unknown rule `{v}` (known: {})",
-                        pflint::rules::ALL.join(", ")
-                    ));
-                }
-                cli.rules.push(v.clone());
-                i += 2;
-            }
-            "--baseline" => {
-                let v = args.get(i + 1).ok_or("--baseline needs a value")?;
-                cli.baseline = Some(PathBuf::from(v));
-                i += 2;
-            }
-            "--write-baseline" => {
-                let v = args.get(i + 1).ok_or("--write-baseline needs a value")?;
-                cli.write_baseline = Some(PathBuf::from(v));
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option `{other}`"));
-            }
-            root if !saw_root => {
-                cli.root = PathBuf::from(root);
-                saw_root = true;
-                i += 1;
-            }
-            extra => return Err(format!("unexpected argument `{extra}`")),
-        }
-    }
-    Ok(cli)
-}
-
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(cli) => cli,
-        Err(msg) => return usage(&msg),
+    let mut args = std::env::args().skip(1);
+    let root = match (args.next(), args.next()) {
+        (None, _) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
+        (Some(root), None) if !root.starts_with('-') => PathBuf::from(root),
+        _ => {
+            eprintln!("usage: pflint [ROOT]");
+            return ExitCode::from(2);
+        }
     };
-    let root = cli.root.canonicalize().unwrap_or(cli.root);
+    let root = root.canonicalize().unwrap_or(root);
     if !root.join("Cargo.toml").exists() {
         eprintln!(
             "pflint: {} does not look like a workspace root",
@@ -115,77 +31,24 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let findings = pflint::run_filtered(&root, &cli.rules);
-
-    if let Some(path) = &cli.write_baseline {
-        let json = pflint::render_json(&root, &findings);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("pflint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "pflint: wrote {} finding(s) to baseline {}",
-            findings.len(),
-            path.display()
+    let findings = pflint::run(&root);
+    for f in &findings {
+        println!(
+            "{}:{}: [{}] {}",
+            pflint::rel_str(&root, &f.file),
+            f.line,
+            f.rule,
+            f.message
         );
-        return ExitCode::SUCCESS;
     }
-
-    // Under --baseline only findings absent from the committed baseline
-    // gate; pre-existing ones are reported as suppressed in text mode.
-    let gating = match &cli.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("pflint: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let keys = match pflint::parse_baseline(&text) {
-                Ok(k) => k,
-                Err(e) => {
-                    eprintln!("pflint: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            pflint::new_vs_baseline(&root, &findings, &keys)
-        }
-        None => findings.clone(),
-    };
-
-    match cli.format {
-        Format::Json => print!("{}", pflint::render_json(&root, &gating)),
-        Format::Text => {
-            for f in &gating {
-                println!(
-                    "{}:{}: [{}] {}",
-                    pflint::rel_str(&root, &f.file),
-                    f.line,
-                    f.rule,
-                    f.message
-                );
-            }
-            let suppressed = findings.len() - gating.len();
-            if gating.is_empty() {
-                match (suppressed, cli.rules.is_empty()) {
-                    (0, true) => println!(
-                        "pflint: clean — determinism, PMU consistency, invariant hooks, \
-                         the obs clock choke point, fault-plan determinism, hot-path \
-                         allocations, concurrency hygiene, and panic freedom all pass"
-                    ),
-                    (0, false) => {
-                        println!("pflint: clean under --rule {}", cli.rules.join(", "))
-                    }
-                    (n, _) => println!("pflint: clean ({n} baseline-suppressed finding(s))"),
-                }
-            }
-        }
-    }
-    if gating.is_empty() {
+    if findings.is_empty() {
+        println!(
+            "pflint: clean — invariant hooks, module counter registration, hot-path \
+             allocations, and panic freedom all pass"
+        );
         ExitCode::SUCCESS
     } else {
-        eprintln!("pflint: {} finding(s)", gating.len());
+        eprintln!("pflint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

@@ -17,8 +17,8 @@
 //! * **Functions** — token-accurate body spans via bracket matching, plus
 //!   the `// pflint::hot` annotation that opts a body into the
 //!   `hot-path-alloc` rule.
-//! * **String literals, indexing sites, division sites** — token-level
-//!   facts for the PMU-consistency and `panic-freedom` rules.
+//! * **Indexing and division sites** — token-level facts for the
+//!   `panic-freedom` rule.
 
 use crate::lexer::{lex, TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,8 +53,6 @@ pub struct SourceFile {
     /// Standalone `// pflint::hot` annotation lines (1-based) that did not
     /// attach to any function — almost certainly a mistake.
     pub dangling_hot: Vec<usize>,
-    /// (0-based line, literal content) for every string literal.
-    strings: Vec<(usize, String)>,
     /// 0-based lines containing an indexing expression (`expr[...]`).
     index_lines: Vec<usize>,
     /// 0-based lines containing a `/` or `%` with a non-literal divisor.
@@ -77,7 +75,6 @@ impl SourceFile {
         let test_lines = collect_test_lines(&tokens, n_lines);
         let hot_lines = collect_hot_lines(&tokens);
         let (fns, dangling_hot) = collect_fns(&tokens, &raw_lines, &hot_lines);
-        let strings = collect_strings(&tokens);
         let (index_lines, div_lines) = collect_panic_sites(&tokens);
 
         SourceFile {
@@ -87,7 +84,6 @@ impl SourceFile {
             suppressed,
             fns,
             dangling_hot,
-            strings,
             index_lines,
             div_lines,
         }
@@ -102,11 +98,6 @@ impl SourceFile {
     /// offending line itself or standalone on the line above.
     pub fn is_suppressed(&self, idx: usize, rule: &str) -> bool {
         self.suppressed.get(&idx).is_some_and(|s| s.contains(rule))
-    }
-
-    /// String literals as `(0-based line, content)`.
-    pub fn string_literals(&self) -> &[(usize, String)] {
-        &self.strings
     }
 
     /// 0-based lines with `expr[...]` indexing (can panic on out-of-range).
@@ -124,10 +115,8 @@ impl SourceFile {
 /// Word-boundary-aware needle search on one masked line. When the needle
 /// starts (resp. ends) with an identifier character, the match must not be
 /// preceded (resp. followed) by one — so `assert!` never matches inside
-/// `debug_assert!`, and `HashMap` never matches `MyHashMapLike`. Pass
-/// `open_end = true` to allow the match to be a prefix of a longer word
-/// (`Atomic` matching `AtomicU64`).
-pub fn contains_word(hay: &str, needle: &str, open_end: bool) -> bool {
+/// `debug_assert!`, and `Vec::new(` never matches `MyVec::new(`.
+pub fn contains_word(hay: &str, needle: &str) -> bool {
     let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let (first, last) = match (needle.bytes().next(), needle.bytes().last()) {
         (Some(f), Some(l)) => (f, l),
@@ -142,7 +131,7 @@ pub fn contains_word(hay: &str, needle: &str, open_end: bool) -> bool {
             continue;
         }
         let end = at + needle.len();
-        if !open_end && is_word(last) && end < bytes.len() && is_word(bytes[end]) {
+        if is_word(last) && end < bytes.len() && is_word(bytes[end]) {
             continue;
         }
         return true;
@@ -241,6 +230,43 @@ fn collect_hot_lines(tokens: &[Token<'_>]) -> BTreeSet<usize> {
     out
 }
 
+/// Every attribute in `text` as `(line, inner, body)`: `#[body]`, or
+/// `#![body]` when `inner`. `body` joins the code tokens between the
+/// brackets without whitespace, comments or literals, so
+/// `#[expect(unsafe_code, reason = "…")]` has `expect(unsafe_code,reason=)`.
+pub fn attributes(text: &str) -> Vec<(usize, bool, String)> {
+    let tokens = lex(text);
+    let s = significant(&tokens);
+    let mut out = Vec::new();
+    for j in 0..s.len() {
+        let inner = s.get(j + 1).is_some_and(|t| t.text == "!");
+        let open = j + 1 + usize::from(inner);
+        if s[j].text == "#" && s.get(open).is_some_and(|t| t.text == "[") {
+            let body = s[open + 1..attr_end(&s, open)]
+                .iter()
+                .filter(|t| t.kind.is_code());
+            out.push((s[j].line, inner, body.map(|t| t.text).collect()));
+        }
+    }
+    out
+}
+
+/// Index of the `]` closing the `[` at `open`, or `s.len()` if none does.
+fn attr_end(s: &[&Token<'_>], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in s.iter().enumerate().skip(open) {
+        depth += match t.text {
+            "[" => 1,
+            "]" => -1,
+            _ => 0,
+        };
+        if depth == 0 {
+            return k;
+        }
+    }
+    s.len()
+}
+
 /// Mark every line covered by an item-scoped `#[cfg(test)]`: from the
 /// attribute through the item's closing `}` (or terminating `;`).
 fn collect_test_lines(tokens: &[Token<'_>], n_lines: usize) -> Vec<bool> {
@@ -253,24 +279,9 @@ fn collect_test_lines(tokens: &[Token<'_>], n_lines: usize) -> Vec<bool> {
             continue;
         }
         let attr_start = j;
-        // Find the matching `]` of the attribute.
-        let mut depth = 0i32;
-        let mut k = j + 1;
-        while k < s.len() {
-            match s[k].text {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
+        let k = attr_end(&s, j + 1);
         let is_cfg_test = {
-            let body = &s[j + 2..k.min(s.len())];
+            let body = &s[j + 2..k];
             body.iter().any(|t| t.text == "cfg") && body.iter().any(|t| t.text == "test")
         };
         j = (k + 1).min(s.len());
@@ -279,22 +290,7 @@ fn collect_test_lines(tokens: &[Token<'_>], n_lines: usize) -> Vec<bool> {
         }
         // Skip any further attributes on the same item.
         while j + 1 < s.len() && s[j].text == "#" && s[j + 1].text == "[" {
-            let mut d = 0i32;
-            let mut m = j + 1;
-            while m < s.len() {
-                match s[m].text {
-                    "[" => d += 1,
-                    "]" => {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                m += 1;
-            }
-            j = (m + 1).min(s.len());
+            j = (attr_end(&s, j + 1) + 1).min(s.len());
         }
         // The item extends to the matching `}` of its first top-level `{`,
         // or to a `;` before any brace opens (e.g. `#[cfg(test)] mod t;`).
@@ -420,30 +416,6 @@ fn collect_fns(
     }
     let dangling = hot_lines.difference(&consumed).copied().collect();
     (fns, dangling)
-}
-
-/// String literal contents with their 0-based start line.
-fn collect_strings(tokens: &[Token<'_>]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for t in tokens {
-        let content = match t.kind {
-            TokKind::Str => {
-                let inner = t.text.strip_prefix('b').unwrap_or(t.text);
-                let inner = inner.strip_prefix('"').unwrap_or(inner);
-                inner.strip_suffix('"').unwrap_or(inner).to_string()
-            }
-            TokKind::RawStr => {
-                let Some(q) = t.text.find('"') else { continue };
-                let hashes = t.text[..q].matches('#').count();
-                let inner = &t.text[q + 1..];
-                let end = inner.len().saturating_sub(1 + hashes);
-                inner.get(..end).unwrap_or("").to_string()
-            }
-            _ => continue,
-        };
-        out.push((t.line - 1, content));
-    }
-    out
 }
 
 /// Keywords that may legitimately precede a `[` (array literals, types).
@@ -600,32 +572,22 @@ mod tests {
 
     #[test]
     fn suppression_same_line_and_standalone_above() {
-        let src = "use std::time::Instant; // pflint::allow(wall-clock)\n\
-                   // pflint::allow(os-entropy)\n\
-                   let r = thread_rng();\n\
-                   let s = SystemTime::now();\n";
+        let src = "let s = format!(\"x\"); // pflint::allow(hot-path-alloc)\n\
+                   // pflint::allow(panic-freedom)\n\
+                   let a = xs[i];\n\
+                   let b = ys[j];\n";
         let f = SourceFile::parse(src);
-        assert!(f.is_suppressed(0, "wall-clock"));
-        assert!(f.is_suppressed(2, "os-entropy"));
-        assert!(!f.is_suppressed(3, "os-entropy"));
-        assert!(!f.is_suppressed(3, "wall-clock"));
+        assert!(f.is_suppressed(0, "hot-path-alloc"));
+        assert!(f.is_suppressed(2, "panic-freedom"));
+        assert!(!f.is_suppressed(3, "panic-freedom"));
+        assert!(!f.is_suppressed(3, "hot-path-alloc"));
     }
 
     #[test]
     fn marker_text_inside_a_string_is_not_a_suppression() {
-        let src = "let s = \"pflint::allow(wall-clock)\";\nlet t = Instant::now();\n";
+        let src = "let s = \"pflint::allow(hot-path-alloc)\";\nlet t = format!(\"x\");\n";
         let f = SourceFile::parse(src);
-        assert!(!f.is_suppressed(1, "wall-clock"));
-    }
-
-    #[test]
-    fn string_literals_are_extracted_with_lines() {
-        let src = "a(\"unc_m_cas_count.rd\");\nb(r#\"raw \"lit\"\"#);\nc(b\"bytes\");\n";
-        let f = SourceFile::parse(src);
-        let lits = f.string_literals();
-        assert!(lits.contains(&(0, "unc_m_cas_count.rd".to_string())));
-        assert!(lits.contains(&(1, "raw \"lit\"".to_string())));
-        assert!(lits.contains(&(2, "bytes".to_string())));
+        assert!(!f.is_suppressed(1, "hot-path-alloc"));
     }
 
     #[test]
@@ -653,12 +615,10 @@ mod tests {
 
     #[test]
     fn word_boundaries_in_needle_search() {
-        assert!(contains_word("assert!(x)", "assert!", false));
-        assert!(!contains_word("debug_assert!(x)", "assert!", false));
-        assert!(contains_word("let m: HashMap<u32,u32>", "HashMap", false));
-        assert!(!contains_word("MyHashMapLike", "HashMap", false));
-        assert!(contains_word("AtomicU64::new(0)", "Atomic", true));
-        assert!(!contains_word("AtomicU64::new(0)", "Atomic", false));
-        assert!(contains_word("x.unwrap()", ".unwrap()", false));
+        assert!(contains_word("assert!(x)", "assert!"));
+        assert!(!contains_word("debug_assert!(x)", "assert!"));
+        assert!(contains_word("let v = Vec::new();", "Vec::new("));
+        assert!(!contains_word("let v = MyVec::new();", "Vec::new("));
+        assert!(contains_word("xs.to_vec()", ".to_vec("));
     }
 }

@@ -2,11 +2,19 @@
 //! reported with file:line, while suppressed/test-only/hooked equivalents
 //! in the `allowed` tree produce zero findings. The `bad` tree also seeds
 //! the misparse class the old line-regex engine got wrong — braces and
-//! rule keywords inside strings, char literals, and block comments — and
-//! pins exact anchors for the lexer-based engine.
+//! rule keywords inside strings, char literals, and block comments, and a
+//! suppression marker inside a string — and pins exact anchors for the
+//! lexer-based engine.
+//!
+//! The rules that moved to clippy keep their tests here too, pinning
+//! their lints at `file:line` in clippy's report on the fixture crate
+//! `fixtures/clippy` (`tests/clippy_rules.rs` pins the whole report).
+
+mod common;
 
 use std::path::{Path, PathBuf};
 
+use common::{assert_reported, quiet, CONCURRENCY, DETERMINISM, METHODS, TYPES};
 use pflint::{rules, Finding};
 
 fn fixture_root(which: &str) -> PathBuf {
@@ -35,83 +43,13 @@ fn ends_with(path: &Path, suffix: &str) -> bool {
 }
 
 #[test]
-fn bad_fixtures_trip_every_determinism_rule() {
-    let findings = pflint::run_determinism(&fixture_root("bad"));
-    assert_found(&findings, rules::HASH_ITERATION, "sim_state.rs", 2);
-    assert_found(&findings, rules::WALL_CLOCK, "sim_state.rs", 3);
-    // The fabric switch module is inside the determinism scan too.
-    assert_found(&findings, rules::WALL_CLOCK, "rogue_switch.rs", 11);
-    assert_found(&findings, rules::HASH_ITERATION, "sim_state.rs", 6);
-    assert_found(&findings, rules::WALL_CLOCK, "sim_state.rs", 11);
-    assert_found(&findings, rules::OS_ENTROPY, "sim_state.rs", 12);
-    assert_found(&findings, rules::UNWRAP_IN_IO, "trace.rs", 3);
-    assert_found(&findings, rules::HASH_ITERATION, "db.rs", 2);
-    assert_found(&findings, rules::UNWRAP_IN_IO, "db.rs", 5);
-}
-
-#[test]
-fn unwrap_rule_covers_fault_windows_and_bench_writers() {
-    let findings = pflint::run_determinism(&fixture_root("bad"));
-    // simarch/faults.rs window validation must return Err, not panic.
-    assert_found(&findings, rules::UNWRAP_IN_IO, "faults.rs", 4);
-    // bench CSV/JSON writers must propagate I/O errors.
-    assert_found(&findings, rules::UNWRAP_IN_IO, "bench/src/lib.rs", 3);
-    assert_found(&findings, rules::UNWRAP_IN_IO, "bench/src/lib.rs", 5);
-}
-
-#[test]
-fn misparse_regressions_braces_and_keywords_in_literals() {
-    // sneaky.rs seeds needles inside a block comment (lines 6-7), a string
-    // with braces (line 8), and a char literal (line 9) — none may fire.
-    // Line 14 pairs a REAL Instant::now with a suppression marker that
-    // lives inside a string literal; the old engine read the raw line and
-    // treated it as suppressed.
-    let findings = pflint::run_determinism(&fixture_root("bad"));
-    assert_found(&findings, rules::WALL_CLOCK, "sneaky.rs", 14);
-    for line in [6, 7, 8, 9] {
-        assert!(
-            !findings
-                .iter()
-                .any(|f| ends_with(&f.file, "sneaky.rs") && f.line == line),
-            "masked needle at sneaky.rs:{line} must not fire: {findings:?}"
-        );
-    }
-}
-
-#[test]
-fn bad_fixtures_trip_pmu_consistency() {
-    let findings = pflint::run_pmu_consistency(&fixture_root("bad"));
-    assert_found(&findings, rules::PMU_VARIANT_UNKNOWN, "pmu_refs.rs", 6);
-    assert_found(&findings, rules::PMU_EVENT_UNKNOWN, "pmu_refs.rs", 7);
-    // The valid CoreEvent::InstRetired reference on line 5 must NOT fire.
-    assert!(
-        !findings.iter().any(|f| f.line == 5),
-        "valid variant flagged: {findings:?}"
-    );
-}
-
-#[test]
 fn bad_fixtures_trip_invariant_hook_check() {
     let findings = pflint::run_invariant_hooks(&fixture_root("bad"));
-    assert_found(&findings, rules::INVARIANT_HOOK_MISSING, "sim_state.rs", 7);
+    assert_found(&findings, rules::INVARIANT_HOOK_MISSING, "sim_state.rs", 5);
     assert_eq!(
         findings.len(),
         1,
         "exactly one hookless module seeded: {findings:?}"
-    );
-}
-
-#[test]
-fn bad_fixtures_trip_obs_choke_point() {
-    let findings = pflint::run_obs_choke_point(&fixture_root("bad"));
-    // Unmarked Instant::now inside clock.rs.
-    assert_found(&findings, rules::OBS_CHOKE_POINT, "clock.rs", 4);
-    // Instant named outside clock.rs.
-    assert_found(&findings, rules::OBS_CHOKE_POINT, "span.rs", 2);
-    // More than one call site in the choke point.
-    assert!(
-        findings.iter().any(|f| f.message.contains("found 2")),
-        "call-site count not enforced: {findings:?}"
     );
 }
 
@@ -129,31 +67,12 @@ fn bad_fixtures_trip_module_registration() {
         &findings,
         rules::MODULE_COUNTER_REGISTRATION,
         "rogue_switch.rs",
-        6,
+        5,
     );
     assert_eq!(
         findings.len(),
         2,
         "exactly two unregistered modules seeded: {findings:?}"
-    );
-}
-
-#[test]
-fn bad_fixtures_trip_fault_plan_determinism() {
-    let findings = pflint::run_fault_plan_determinism(&fixture_root("bad"));
-    assert_found(
-        &findings,
-        rules::FAULT_PLAN_DETERMINISM,
-        "bad_fault_plan.rs",
-        4,
-    );
-    // Fault-plan-free files in the same tree must stay out of scope —
-    // including sneaky.rs, whose thread_rng lives inside a string.
-    assert!(
-        findings
-            .iter()
-            .all(|f| ends_with(&f.file, "bad_fault_plan.rs")),
-        "rule leaked beyond the fault-plan file: {findings:?}"
     );
 }
 
@@ -167,8 +86,8 @@ fn bad_fixtures_trip_hot_path_alloc() {
     // ended the body at line 13's `"}"` and never saw it.
     assert_found(&findings, rules::HOT_PATH_ALLOC, "materializer.rs", 14);
     // Annotated tsdb ingest body.
-    assert_found(&findings, rules::HOT_PATH_ALLOC, "db.rs", 11);
-    assert_found(&findings, rules::HOT_PATH_ALLOC, "db.rs", 12);
+    assert_found(&findings, rules::HOT_PATH_ALLOC, "db.rs", 5);
+    assert_found(&findings, rules::HOT_PATH_ALLOC, "db.rs", 6);
     // An annotation with no function underneath is itself a finding.
     assert_found(&findings, rules::HOT_PATH_ALLOC, "dangling_hot.rs", 2);
     // Event-wheel hot paths: format! in schedule, collect in cascade.
@@ -190,43 +109,39 @@ fn bad_fixtures_trip_hot_path_alloc() {
 }
 
 #[test]
-fn bad_fixtures_trip_concurrency_hygiene() {
-    let findings = pflint::run_concurrency_hygiene(&fixture_root("bad"));
-    assert_found(&findings, rules::CONCURRENCY_HYGIENE, "rogue_threads.rs", 2);
-    assert_found(&findings, rules::CONCURRENCY_HYGIENE, "rogue_threads.rs", 4);
-    assert_found(&findings, rules::CONCURRENCY_HYGIENE, "rogue_threads.rs", 5);
-    assert_found(&findings, rules::CONCURRENCY_HYGIENE, "rogue_threads.rs", 6);
-    assert_found(&findings, rules::CONCURRENCY_HYGIENE, "rogue_threads.rs", 7);
-    // fleetd concurrency anywhere but shard.rs is a finding too.
-    assert_found(&findings, rules::CONCURRENCY_HYGIENE, "exporter.rs", 2);
-    assert_found(&findings, rules::CONCURRENCY_HYGIENE, "exporter.rs", 5);
-    assert_found(&findings, rules::CONCURRENCY_HYGIENE, "exporter.rs", 6);
-    assert!(
-        findings
-            .iter()
-            .all(|f| ends_with(&f.file, "rogue_threads.rs") || ends_with(&f.file, "exporter.rs")),
-        "rule leaked beyond the seeded files: {findings:?}"
+fn bad_fixtures_trip_panic_freedom() {
+    let findings = pflint::run_panic_freedom(&fixture_root("bad"));
+    // Indexing, division, and assert! on consecutive lines, in obs and in
+    // the fleetd daemon surface, which is a panic-freedom root as well.
+    for (file, first) in [("daemon.rs", 9), ("collector.rs", 3)] {
+        for line in first..first + 3 {
+            assert_found(&findings, rules::PANIC_FREEDOM, file, line);
+        }
+    }
+    assert_eq!(
+        findings.len(),
+        6,
+        "rule leaked beyond the seeded lines: {findings:?}"
     );
 }
 
 #[test]
-fn bad_fixtures_trip_panic_freedom() {
-    let findings = pflint::run_panic_freedom(&fixture_root("bad"));
-    assert_found(&findings, rules::PANIC_FREEDOM, "daemon.rs", 3); // unwrap
-    assert_found(&findings, rules::PANIC_FREEDOM, "daemon.rs", 4); // indexing
-    assert_found(&findings, rules::PANIC_FREEDOM, "daemon.rs", 5); // division
-    assert_found(&findings, rules::PANIC_FREEDOM, "daemon.rs", 6); // assert!
-                                                                   // The fleetd daemon surface is a panic-freedom root as well.
-    assert_found(&findings, rules::PANIC_FREEDOM, "collector.rs", 3); // unwrap
-    assert_found(&findings, rules::PANIC_FREEDOM, "collector.rs", 4); // indexing
-    assert_found(&findings, rules::PANIC_FREEDOM, "collector.rs", 5); // division
-    assert_found(&findings, rules::PANIC_FREEDOM, "collector.rs", 6); // assert!
-    assert!(
-        findings
-            .iter()
-            .all(|f| ends_with(&f.file, "daemon.rs") || ends_with(&f.file, "collector.rs")),
-        "rule leaked beyond the seeded files: {findings:?}"
-    );
+fn misparse_regressions_braces_and_keywords_in_literals() {
+    // daemon.rs seeds needles inside a block comment (line 6), a string
+    // with a brace (line 7), and a char literal (line 8) — none may fire.
+    // Line 11 pairs a REAL assert! with a suppression marker that lives
+    // inside a string literal; the old engine read the raw line and
+    // treated it as suppressed.
+    let findings = pflint::run(&fixture_root("bad"));
+    assert_found(&findings, rules::PANIC_FREEDOM, "daemon.rs", 11);
+    for line in [6, 7, 8] {
+        assert!(
+            !findings
+                .iter()
+                .any(|f| ends_with(&f.file, "daemon.rs") && f.line == line),
+            "masked needle at daemon.rs:{line} must not fire: {findings:?}"
+        );
+    }
 }
 
 #[test]
@@ -244,52 +159,95 @@ fn allowed_fixtures_are_clean() {
 }
 
 #[test]
-fn rule_filter_restricts_findings() {
-    let only = vec![rules::PANIC_FREEDOM.to_string()];
-    let findings = pflint::run_filtered(&fixture_root("bad"), &only);
-    assert!(!findings.is_empty());
-    assert!(
-        findings.iter().all(|f| f.rule == rules::PANIC_FREEDOM),
-        "--rule must drop every other family: {findings:?}"
-    );
-}
-
-#[test]
-fn json_output_round_trips_and_baselines_the_bad_tree() {
-    let root = fixture_root("bad");
-    let findings = pflint::run(&root);
-    assert!(!findings.is_empty());
-    let json = pflint::render_json(&root, &findings);
-    // Validates against the documented pflint-findings-v1 schema via the
-    // obs JSON parser.
-    let keys = pflint::parse_baseline(&json).expect("schema-valid JSON");
-    assert!(!keys.is_empty());
-    // A baseline written from the current findings gates nothing.
-    assert!(
-        pflint::new_vs_baseline(&root, &findings, &keys).is_empty(),
-        "self-baseline must suppress every finding"
-    );
-    // Paths in the JSON are root-relative with forward slashes.
-    assert!(
-        json.contains("\"file\": \"crates/obs/src/daemon.rs\""),
-        "{json}"
-    );
-}
-
-#[test]
 fn findings_render_as_file_line_rule_message() {
-    let findings = pflint::run_determinism(&fixture_root("bad"));
-    let f = findings
-        .iter()
-        .find(|f| f.rule == rules::OS_ENTROPY && ends_with(&f.file, "sim_state.rs"))
-        .expect("entropy finding");
-    let rendered = f.to_string();
+    let findings = pflint::run_invariant_hooks(&fixture_root("bad"));
+    let rendered = findings
+        .first()
+        .expect("invariant-hook finding")
+        .to_string();
     assert!(
-        rendered.contains("sim_state.rs:12"),
+        rendered.contains("sim_state.rs:5"),
         "bad anchor: {rendered}"
     );
     assert!(
-        rendered.contains("[os-entropy]"),
+        rendered.contains("[invariant-hook-missing]"),
         "bad rule tag: {rendered}"
     );
+}
+
+#[test]
+fn bad_fixtures_trip_every_determinism_rule() {
+    // Hash-ordered containers and the randomly seeded hasher; clock reads.
+    assert_reported(TYPES, DETERMINISM, &[2, 5, 6, 10, 11]);
+    assert_reported(METHODS, DETERMINISM, &[15, 20]);
+}
+
+/// Each file and how many panic lints, from the front of `family`, its
+/// `#![deny]` names: input-facing files (the fault plan's windows and the
+/// bench CSV writers among them) deny three, the daemon roots all six.
+const PANIC_DENIES: &[(&str, usize)] = &[
+    ("crates/tsdb/src/lib.rs", 3),
+    ("crates/bench/src/lib.rs", 3),
+    ("crates/simarch/src/trace.rs", 3),
+    ("crates/simarch/src/config.rs", 3),
+    ("crates/simarch/src/faults.rs", 3),
+    ("crates/fleetd/src/lib.rs", 6),
+    ("crates/fleetd/src/main.rs", 6),
+    ("crates/obs/src/lib.rs", 6),
+    ("crates/obs/src/bin/obs_validate.rs", 6),
+];
+
+#[test]
+fn unwrap_rule_covers_fault_windows_and_bench_writers() {
+    let family = "unwrap_used expect_used panic unreachable todo unimplemented";
+    for &(file, n) in PANIC_DENIES {
+        let text = std::fs::read_to_string(common::repo_root().join(file)).expect("read");
+        let denied: String = pflint::source::attributes(&text)
+            .into_iter()
+            .filter(|(_, inner, body)| *inner && body.starts_with("deny("))
+            .map(|(_, _, body)| body.replace(')', ","))
+            .collect();
+        for lint in family.split(' ').take(n) {
+            assert!(
+                denied.contains(&format!("clippy::{lint},")),
+                "{file} must `#![deny(clippy::{lint})]`"
+            );
+        }
+    }
+    // What the denies catch: a parse that unwraps, a file opened with
+    // `expect`, a window check that panics; tests may do all three.
+    assert_reported("clippy::unwrap_used", "src/panics.rs", &[13]);
+    assert_reported("clippy::expect_used", "src/panics.rs", &[17]);
+    assert_reported("clippy::panic", "src/panics.rs", &[22]);
+    assert!(
+        quiet("src/panics.rs", 36..),
+        "a test-only panic was reported"
+    );
+}
+
+#[test]
+fn bad_fixtures_trip_obs_choke_point() {
+    // Every clock read outside `now_ns`, the one item expecting the clock
+    // bans, is reported, in a test as well; `now_ns` itself is not, and an
+    // expecting item that no longer reads the clock is stale.
+    assert_reported(METHODS, DETERMINISM, &[15, 20, 46]);
+    assert!(quiet("src/allowed.rs", 11..=21), "the sanctioned read");
+    assert_reported("unfulfilled_lint_expectations", "src/stale.rs", &[14]);
+}
+
+#[test]
+fn bad_fixtures_trip_fault_plan_determinism() {
+    // The clock ban has no file scope, so test code is covered, and so is
+    // std's one entropy-seeded source, `RandomState`.
+    assert_reported(METHODS, DETERMINISM, &[46]);
+    assert_reported(TYPES, DETERMINISM, &[10, 11]);
+}
+
+#[test]
+fn bad_fixtures_trip_concurrency_hygiene() {
+    // Threads and channel constructors; locks, atomics and channel ends.
+    assert_reported(METHODS, CONCURRENCY, &[5, 6, 7, 8, 25, 26]);
+    assert_reported(TYPES, CONCURRENCY, &[14, 15, 16, 17, 18, 19, 20, 21]);
+    // The fan-out and the lock under their own `#[expect]` stay silent.
+    assert!(quiet("src/allowed.rs", 23..=47), "a sanctioned use");
 }

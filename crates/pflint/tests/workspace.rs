@@ -1,6 +1,5 @@
-//! Workspace-level gate: the real source tree must be lint-clean, every
-//! path the lint is configured with must exist, and the PMU registry the
-//! lint trusts must itself round-trip coherently.
+//! Workspace-level gate: the real source tree must be lint-clean, and
+//! every path the lint is configured with must exist.
 
 use std::path::PathBuf;
 
@@ -30,23 +29,8 @@ fn workspace_is_lint_clean() {
 #[test]
 fn every_configured_path_exists() {
     let root = workspace_root();
-    let mut paths: Vec<&str> = pflint::determinism_config()
-        .iter()
-        .map(|c| c.rel_path)
-        .collect();
-    for list in [
-        pflint::PMU_SCAN_ROOTS,
-        pflint::FAULT_PLAN_SCAN_ROOTS,
-        pflint::CONCURRENCY_ALLOWLIST,
-        pflint::PANIC_FREEDOM_ROOTS,
-    ] {
-        paths.extend_from_slice(list);
-    }
-    paths.extend([
-        pflint::INVARIANT_SCAN_ROOT,
-        pflint::MODULE_SCAN_ROOT,
-        pflint::OBS_SCAN_ROOT,
-    ]);
+    let mut paths = vec![pflint::INVARIANT_SCAN_ROOT, pflint::MODULE_SCAN_ROOT];
+    paths.extend_from_slice(pflint::PANIC_FREEDOM_ROOTS);
     let missing: Vec<&str> = paths
         .into_iter()
         .filter(|p| !root.join(p).exists())
@@ -55,34 +39,4 @@ fn every_configured_path_exists() {
         missing.is_empty(),
         "pflint configures paths missing from the workspace: {missing:?}"
     );
-}
-
-#[test]
-fn registry_round_trip_is_coherent() {
-    use std::collections::BTreeSet;
-    let events = pmu::registry::all_events();
-    assert!(!events.is_empty());
-
-    let mut names = BTreeSet::new();
-    for e in &events {
-        // Unique, non-empty perf-style name.
-        assert!(!e.name.is_empty());
-        assert!(
-            names.insert(e.name.clone()),
-            "duplicate registry name {}",
-            e.name
-        );
-        // Non-empty family description and a derivable unit.
-        assert!(!e.description.is_empty(), "no description for {}", e.name);
-        assert_eq!(
-            e.unit,
-            pmu::registry::unit_of(&e.name),
-            "unit drift for {}",
-            e.name
-        );
-        // The name must resolve back to the same entry.
-        let back = pmu::registry::lookup(&e.name).expect("lookup round-trip");
-        assert_eq!(back.name, e.name);
-        assert_eq!(back.pmu, e.pmu, "bank drift for {}", e.name);
-    }
 }

@@ -1442,10 +1442,10 @@ impl PoolEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn check_dense<E: Event>(all: &[E]) {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for e in all {
             let i = e.index();
             assert!(i < E::CARD, "{:?} index {} >= CARD {}", e, i, E::CARD);
@@ -1492,7 +1492,7 @@ mod tests {
     #[test]
     fn event_names_are_unique_within_a_pmu() {
         let names: Vec<String> = CoreEvent::all().iter().map(|e| e.name()).collect();
-        let set: HashSet<&String> = names.iter().collect();
+        let set: BTreeSet<&String> = names.iter().collect();
         assert_eq!(set.len(), names.len());
     }
 

@@ -494,6 +494,31 @@ mod tests {
     }
 
     #[test]
+    fn registry_round_trip_is_coherent() {
+        use std::collections::BTreeSet;
+        let events = all_events();
+        assert!(!events.is_empty());
+
+        let mut names = BTreeSet::new();
+        for e in &events {
+            // Unique, non-empty perf-style name.
+            assert!(!e.name.is_empty());
+            assert!(
+                names.insert(e.name.clone()),
+                "duplicate registry name {}",
+                e.name
+            );
+            // Non-empty family description and a derivable unit.
+            assert!(!e.description.is_empty(), "no description for {}", e.name);
+            assert_eq!(e.unit, unit_of(&e.name), "unit drift for {}", e.name);
+            // The name must resolve back to the same entry.
+            let back = lookup(&e.name).expect("lookup round-trip");
+            assert_eq!(back.name, e.name);
+            assert_eq!(back.pmu, e.pmu, "bank drift for {}", e.name);
+        }
+    }
+
+    #[test]
     fn lookup_finds_exact_names_only() {
         let e = lookup("resource_stalls.sb").expect("known counter");
         assert_eq!(e.pmu, PmuKind::Core);

@@ -10,6 +10,8 @@
 //! | cross-socket    | 163.6 ns     |  94.4 GB/s     |
 //! | CXL Type-3 DIMM | 355.3 ns     |  17.6 GB/s     |
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Memory placement policy for a workload thread's address space.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MemPolicy {

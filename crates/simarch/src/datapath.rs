@@ -798,7 +798,10 @@ impl Machine {
     /// `blocked` carries window-full stall cycles already spent before the
     /// walk; hardware attributes those to the same nested stall counters
     /// (the core was stalled while a miss of this depth was outstanding).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the load tail reads every outcome of the walk"
+    )]
     pub(crate) fn finish_load(
         &mut self,
         c: usize,

@@ -6,9 +6,9 @@
 //! poisoned lines, uncore queues stall transiently, and PMU readouts go
 //! missing. A [`FaultPlan`] is a pure-literal schedule of such anomalies —
 //! epoch-indexed windows, no wall clock, no OS entropy — so a faulted run
-//! is exactly as reproducible as a healthy one (pflint's
-//! `fault-plan-determinism` rule enforces this for every fault schedule in
-//! the workspace).
+//! is exactly as reproducible as a healthy one (the root `clippy.toml`
+//! bans wall-clock reads everywhere, and no crate the workspace builds
+//! offers OS entropy).
 //!
 //! The machine applies the plan at every epoch boundary
 //! (`Machine::set_fault_plan`): knobs are reset to baseline and the
@@ -19,6 +19,8 @@
 //! themselves (a poisoned line is retried as a complete new transaction;
 //! a PMU dropout skips the epoch flush but leaves the inline-incremented
 //! totals intact).
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::config::MachineConfig;
 use crate::module::{StageId, StageKind};

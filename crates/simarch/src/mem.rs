@@ -338,8 +338,8 @@ mod tests {
 
     #[test]
     fn slice_and_channel_hashes_cover_all_targets() {
-        let mut slices = std::collections::HashSet::new();
-        let mut chans = std::collections::HashSet::new();
+        let mut slices = std::collections::BTreeSet::new();
+        let mut chans = std::collections::BTreeSet::new();
         for line in 0..10_000u64 {
             slices.insert(slice_of(line, 8));
             chans.insert(channel_of(line, 4));

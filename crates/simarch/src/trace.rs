@@ -1,5 +1,7 @@
 //! Workload attachment: trace sources and thread descriptors.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::arena::OpRing;
 use crate::config::MemPolicy;
 use crate::request::MemOp;

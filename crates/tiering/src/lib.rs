@@ -12,7 +12,7 @@
 //! produces ([`simarch::EpochResult::page_heat`]) and emits migrations that
 //! are applied through [`simarch::Machine::migrate_page`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use simarch::MemNode;
 
@@ -29,7 +29,7 @@ pub struct Migration {
 /// equivalent of TPP's active/inactive LRU lists.
 #[derive(Debug, Default)]
 pub struct HeatTracker {
-    heat: HashMap<(u16, u64), f64>,
+    heat: BTreeMap<(u16, u64), f64>,
     /// Multiplicative decay applied each epoch (TPP's aging).
     pub decay: f64,
 }
@@ -37,7 +37,7 @@ pub struct HeatTracker {
 impl HeatTracker {
     pub fn new() -> Self {
         HeatTracker {
-            heat: HashMap::new(),
+            heat: BTreeMap::new(),
             decay: 0.5,
         }
     }
@@ -119,7 +119,7 @@ impl Default for TppConfig {
 pub struct Tpp {
     pub cfg: TppConfig,
     pub tracker: HeatTracker,
-    local_pages: HashMap<(u16, u64), ()>,
+    local_pages: BTreeSet<(u16, u64)>,
     promoted: u64,
     demoted: u64,
 }
@@ -129,7 +129,7 @@ impl Tpp {
         Tpp {
             cfg,
             tracker: HeatTracker::new(),
-            local_pages: HashMap::new(),
+            local_pages: BTreeSet::new(),
             promoted: 0,
             demoted: 0,
         }
@@ -160,14 +160,14 @@ impl Tpp {
                     vpage,
                     to: MemNode::LocalDram,
                 });
-                self.local_pages.insert((asid, vpage), ());
+                self.local_pages.insert((asid, vpage));
                 self.promoted += 1;
             }
         }
         // Track local residency for pages that were always local.
         for &(asid, vpage, _) in heat {
             if matches!(node_of(asid, vpage), Some(MemNode::LocalDram)) {
-                self.local_pages.insert((asid, vpage), ());
+                self.local_pages.insert((asid, vpage));
             }
         }
         // Demotion under local pressure.
@@ -177,7 +177,7 @@ impl Tpp {
                 if excess == 0 {
                     break;
                 }
-                if self.local_pages.contains_key(&(asid, vpage))
+                if self.local_pages.contains(&(asid, vpage))
                     && matches!(node_of(asid, vpage), Some(MemNode::LocalDram))
                 {
                     out.push(Migration {

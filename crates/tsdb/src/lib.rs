@@ -17,6 +17,8 @@
 //!   correlation (`pearsonr()`), and the window-clustering step PathFinder
 //!   uses to find phases of consistent data locality.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod db;
 pub mod intern;
 pub mod ops;

@@ -2,7 +2,7 @@
 //! handles resolved and capacity reserved, a batch of [`tsdb::Db::ingest`]
 //! calls must hit the global allocator exactly zero times. This is the
 //! tentpole guarantee of the columnar store (see PERFORMANCE.md) and the
-//! runtime counterpart of pflint's `ingest-hot-path` rule.
+//! runtime counterpart of pflint's `hot-path-alloc` rule.
 //!
 //! Counters are thread-local (const-initialized TLS, so reading them never
 //! allocates): the libtest harness runs its own threads, and a process-
@@ -20,6 +20,10 @@ thread_local! {
 
 struct CountingAlloc;
 
+#[expect(
+    unsafe_code,
+    reason = "a GlobalAlloc impl cannot be written without unsafe"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));

@@ -201,7 +201,7 @@ mod tests {
     fn pointer_chase_visits_every_line_once_per_lap() {
         let n_lines = 256;
         let mut p = PointerChase::new(n_lines * 64, n_lines as u64, 3);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some(op) = p.next_op() {
             assert!(matches!(op.kind, AccessKind::Load { dependent: true }));
             assert!(

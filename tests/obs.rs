@@ -15,12 +15,13 @@ use simarch::trace::SeqReadTrace;
 use simarch::{Machine, MachineConfig, MemPolicy, Workload};
 
 /// Serialise tests that touch the global recorder. The lock is the one
-/// sanctioned shared-state exception in the test tree, so the
-/// concurrency-hygiene suppressions below are deliberate.
-type ObsGuard = std::sync::MutexGuard<'static, ()>; // pflint::allow(concurrency-hygiene)
-
-fn obs_lock() -> ObsGuard {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(()); // pflint::allow(concurrency-hygiene)
+/// sanctioned shared-state exception in the test tree.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the obs recorder is process-global; its tests take turns"
+)]
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 

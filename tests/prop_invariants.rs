@@ -23,7 +23,7 @@ proptest! {
                 _ => { c.lookup(line); }
             }
             prop_assert!(c.len() <= c.capacity());
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for l in c.iter() {
                 prop_assert!(seen.insert(l.tag), "duplicate line {}", l.tag);
             }
@@ -74,7 +74,7 @@ proptest! {
     ) {
         intervals.sort_unstable();
         let mut cov = Coverage::new();
-        let mut marks = std::collections::HashSet::new();
+        let mut marks = std::collections::BTreeSet::new();
         for &(start, len) in &intervals {
             cov.add(start, start + len);
             for t in start..start + len {
