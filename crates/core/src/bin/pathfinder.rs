@@ -7,7 +7,8 @@
 //! pathfinder compare <app> [options]   # local vs CXL side by side
 //!
 //! options:
-//!   --policy local|cxl|mix:<f>   memory placement (default cxl)
+//!   --policy local|cxl|mix:<f>   memory placement (default cxl); mix puts
+//!                                a fraction 0 <= f <= 1 of pages on CXL
 //!   --ops N                      operation budget (default 500000)
 //!   --emr                        use the EMR platform preset
 //!   --seed N                     workload seed (default 42)
@@ -72,10 +73,14 @@ fn parse_opts(args: &[String]) -> Opts {
                     "local" => MemPolicy::Local,
                     "remote" => MemPolicy::RemoteNuma,
                     "cxl" => MemPolicy::Cxl,
-                    m if m.starts_with("mix:") => MemPolicy::Interleave {
-                        cxl_fraction: m[4..].parse().unwrap_or_else(|_| usage()),
+                    // A fraction outside [0, 1] (NaN and ±inf included)
+                    // is a usage error, not a policy to clamp.
+                    m => match m.strip_prefix("mix:").and_then(|f| f.parse::<f64>().ok()) {
+                        Some(f) if (0.0..=1.0).contains(&f) => {
+                            MemPolicy::Interleave { cxl_fraction: f }
+                        }
+                        _ => usage(),
                     },
-                    _ => usage(),
                 };
             }
             _ => usage(),

@@ -576,13 +576,6 @@ impl crate::module::SimModule for ChaComplex {
             "unc_cha_snoop_resp.miss",
         ])
     }
-
-    fn occupancy(&self, now: u64) -> u64 {
-        self.slices
-            .iter()
-            .map(|s| s.port.next_free().saturating_sub(now))
-            .sum()
-    }
 }
 
 impl Invariants for ChaComplex {

@@ -329,19 +329,6 @@ impl crate::module::SimModule for CoreState {
             "offcore_requests_outstanding.cycles_with_data_rd",
         ])
     }
-
-    fn occupancy(&self, now: u64) -> u64 {
-        (self.sb.occupancy_at(now)
-            + self.lfb.occupancy_at(now)
-            + self.superq.occupancy_at(now)
-            + self.pfq.occupancy_at(now)) as u64
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        // A core with trace ops left progresses at its pipeline time; a
-        // finished core never needs a wakeup.
-        (!self.done).then_some(self.time)
-    }
 }
 
 impl Invariants for CoreState {

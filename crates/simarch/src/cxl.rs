@@ -384,10 +384,6 @@ impl crate::module::SimModule for CxlPort {
             "unc_cxldev_mc_cas.wr",
         ])
     }
-
-    fn occupancy(&self, now: u64) -> u64 {
-        self.backlog(now)
-    }
 }
 
 impl Invariants for CxlPort {

@@ -178,17 +178,6 @@ impl Fabric {
         &mut self.hosts[h]
     }
 
-    /// Select the core-stepping scheduler on every host. The switch and
-    /// pool are request-driven stages (`next_event() == None`): they ride
-    /// the same wheel discipline by never being polled, so the 1-host
-    /// fabric identity holds in both modes (the differential harness pins
-    /// this with fabric topologies on and off).
-    pub fn set_sched_mode(&mut self, mode: crate::machine::SchedMode) {
-        for h in &mut self.hosts {
-            h.set_sched_mode(mode);
-        }
-    }
-
     /// Pin a workload to `core` of host `host`.
     pub fn attach(&mut self, host: usize, core: usize, workload: Workload) {
         self.hosts[host].attach(core, workload);

@@ -116,6 +116,18 @@ impl FaultClass {
     }
 }
 
+/// Largest gap multiplier `FaultWindow::validate` accepts
+/// (`LinkDegrade`, `DevThrottle`, `SharedLinkDegrade`). The workspace's
+/// plans use at most 256; the cap keeps `base_gap * severity` from
+/// overflowing.
+const MAX_GAP_MULTIPLIER: u64 = 1 << 16;
+
+/// Largest stall, in cycles, `FaultWindow::validate` accepts
+/// (`QueueStall`, `SwitchPortStall`): about two seconds at 2 GHz, above
+/// the half-epoch stalls the workspace's plans use. The cap keeps
+/// `epoch start + severity` from overflowing.
+const MAX_STALL_CYCLES: u64 = 1 << 32;
+
 /// One scheduled anomaly: a class, a target stage, a half-open epoch
 /// window `[start_epoch, end_epoch)`, and a class-specific severity knob
 /// (gap multiplier, poison period, or stall cycles — see [`FaultClass`]).
@@ -135,7 +147,8 @@ impl FaultWindow {
     }
 
     /// Structural sanity: non-empty window, legal target, positive
-    /// severity where the class consumes one.
+    /// severity where the class consumes one, and no severity above its
+    /// class's cap (`MAX_GAP_MULTIPLIER`, `MAX_STALL_CYCLES`).
     pub fn validate(&self) -> Result<(), String> {
         if self.end_epoch <= self.start_epoch {
             return Err(format!(
@@ -156,6 +169,20 @@ impl FaultWindow {
         }
         if self.class == FaultClass::PoisonedLine && self.severity < 2 {
             return Err("poison period must be >= 2 (period 1 never converges)".into());
+        }
+        let cap = match self.class {
+            FaultClass::LinkDegrade | FaultClass::DevThrottle | FaultClass::SharedLinkDegrade => {
+                MAX_GAP_MULTIPLIER
+            }
+            FaultClass::QueueStall | FaultClass::SwitchPortStall => MAX_STALL_CYCLES,
+            FaultClass::PoisonedLine | FaultClass::PmuDropout => u64::MAX,
+        };
+        if self.severity > cap {
+            return Err(format!(
+                "{} severity {} exceeds its cap {cap}",
+                self.class.label(),
+                self.severity
+            ));
         }
         Ok(())
     }
@@ -202,18 +229,6 @@ impl FaultPlan {
         self.windows.iter().filter(move |w| w.covers(epoch))
     }
 
-    /// The next epoch strictly after `epoch` at which the active-window
-    /// set can change (a window starting or expiring). The quiescence
-    /// skipper wakes at every such edge so a fault landing inside an
-    /// otherwise-idle stretch is applied on exactly the right epoch.
-    pub fn next_edge(&self, epoch: u64) -> Option<u64> {
-        self.windows
-            .iter()
-            .flat_map(|w| [w.start_epoch, w.end_epoch])
-            .filter(|&e| e > epoch)
-            .min()
-    }
-
     /// Expand `n` windows from a seed, valid for `cfg` and confined to the
     /// first `horizon_epochs` epochs. Same `(seed, n, cfg, horizon)` ⇒
     /// byte-identical plan on every platform.
@@ -248,9 +263,9 @@ impl FaultPlan {
             let severity = match class {
                 FaultClass::LinkDegrade | FaultClass::DevThrottle => 2 + rng.below(15),
                 FaultClass::PoisonedLine => 2 + rng.below(7),
-                FaultClass::QueueStall => {
-                    (cfg.epoch_cycles / 4).max(1) + rng.below(cfg.epoch_cycles / 4 + 1)
-                }
+                FaultClass::QueueStall => ((cfg.epoch_cycles / 4).max(1)
+                    + rng.below(cfg.epoch_cycles / 4 + 1))
+                .min(MAX_STALL_CYCLES),
                 FaultClass::PmuDropout => 0,
                 FaultClass::SharedLinkDegrade | FaultClass::SwitchPortStall => {
                     unreachable!("fabric fault classes are not in FaultClass::MACHINE")
@@ -349,6 +364,63 @@ mod tests {
         let mut w = window(FaultClass::PoisonedLine, StageId::cxl(0));
         w.severity = 1;
         assert!(w.validate().is_err());
+    }
+
+    #[test]
+    fn severities_above_their_caps_are_rejected_and_the_caps_run() {
+        use crate::fabric::{Fabric, FabricConfig};
+        use crate::trace::{SeqReadTrace, Workload};
+        let capped = [
+            (FaultClass::LinkDegrade, StageId::cxl(0), MAX_GAP_MULTIPLIER),
+            (FaultClass::DevThrottle, StageId::cxl(0), MAX_GAP_MULTIPLIER),
+            (
+                FaultClass::SharedLinkDegrade,
+                StageId::switch_port(0),
+                MAX_GAP_MULTIPLIER,
+            ),
+            (FaultClass::QueueStall, StageId::cha(), MAX_STALL_CYCLES),
+            (FaultClass::QueueStall, StageId::imc(), MAX_STALL_CYCLES),
+            (
+                FaultClass::SwitchPortStall,
+                StageId::switch_port(0),
+                MAX_STALL_CYCLES,
+            ),
+        ];
+        for (class, stage, cap) in capped {
+            let at = |severity| FaultWindow {
+                class,
+                stage,
+                start_epoch: 0,
+                end_epoch: 4,
+                severity,
+            };
+            assert!(
+                FaultPlan::new().with(at(u64::MAX)).is_err(),
+                "{class:?} on {stage} accepted severity u64::MAX"
+            );
+            let plan = FaultPlan::new().with(at(cap)).expect("the cap is valid");
+            // A 1-host fabric hosts both families: machine classes on the
+            // host, switch classes on the fabric.
+            let cfg = MachineConfig::tiny();
+            let mut f = Fabric::new(cfg.clone(), FabricConfig::balanced(1, &cfg));
+            f.attach(
+                0,
+                0,
+                Workload::new(
+                    "seq",
+                    Box::new(SeqReadTrace::new(1 << 16, 20_000)),
+                    crate::MemPolicy::Cxl,
+                ),
+            );
+            if stage.kind == StageKind::Switch {
+                f.set_fault_plan(plan);
+            } else {
+                f.host_mut(0).set_fault_plan(plan);
+            }
+            for _ in 0..4 {
+                f.run_epoch();
+            }
+        }
     }
 
     #[test]

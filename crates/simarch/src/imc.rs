@@ -137,13 +137,6 @@ impl crate::module::SimModule for Imc {
             "unc_m_wpq_occupancy",
         ])
     }
-
-    fn occupancy(&self, now: u64) -> u64 {
-        self.channels
-            .iter()
-            .map(|ch| ch.server.next_free().saturating_sub(now))
-            .sum()
-    }
 }
 
 impl Invariants for Imc {

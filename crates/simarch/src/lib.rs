@@ -54,13 +54,12 @@ pub mod remote;
 pub mod request;
 pub mod switch;
 pub mod trace;
-pub mod wheel;
 
 pub use config::{MachineConfig, MemPolicy};
 pub use fabric::{Fabric, FabricConfig, FabricEpochResult};
 pub use faults::{FaultClass, FaultPlan, FaultWindow};
 pub use invariants::{Invariants, Violation};
-pub use machine::{EpochResult, Machine, RunSummary, SchedMode, StallError};
+pub use machine::{EpochResult, Machine, RunSummary, StallError};
 pub use mem::{MemNode, PhysAddr, CACHELINE, PAGE_SIZE};
 pub use module::{Edge, SimModule, StageId, StageKind, Topology};
 pub use pooled::PooledDevice;
@@ -68,4 +67,3 @@ pub use remote::RemoteSocket;
 pub use request::{AccessKind, HostId, MemOp, ServeLoc};
 pub use switch::{Arbitration, CxlSwitch, Grant};
 pub use trace::{TraceSource, Workload};
-pub use wheel::EventWheel;

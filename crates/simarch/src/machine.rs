@@ -2,12 +2,12 @@
 //!
 //! `Machine` composes the stage modules of Figure 1 — cores (SB/LFB/L1D/L2),
 //! the CHA complex, the IMC, the remote socket, and the CXL ports — behind
-//! the [`SimModule`] trait and a validated [`Topology`]. The epoch scheduler
-//! here is generic: it steps the globally-earliest core until the boundary,
-//! then walks the stage list in ascending [`crate::module::StageId`] order,
-//! ticking and draining each module into the system PMU. The intra-epoch
-//! demand walk (what a load actually does between boundaries) lives in
-//! `datapath.rs`.
+//! the [`SimModule`] trait and a validated [`Topology`]. Each epoch steps
+//! the cores up to the boundary, earliest pending core first and lowest
+//! index on a tie (`Machine::step_until`), then walks the stage list in
+//! ascending [`crate::module::StageId`] order, ticking and draining each
+//! module into the system PMU. The intra-epoch demand walk (what a load
+//! actually does between boundaries) lives in `datapath.rs`.
 //!
 //! At the end of each scheduling epoch (§4.2) the machine produces a
 //! [`pmu::SystemSnapshot`] — the input to all four PathFinder techniques.
@@ -24,21 +24,7 @@ use crate::mem::MemNode;
 use crate::module::{SimModule, StageId, StageKind, Topology};
 use crate::remote::RemoteSocket;
 use crate::trace::Workload;
-use crate::wheel::EventWheel;
 use pmu::{SystemPmu, SystemSnapshot};
-
-/// Which core-stepping scheduler `run_epoch` uses. The two are proven
-/// equivalent (identical counter streams) by `tests/scheduler_equivalence.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Event-wheel scheduler: cores are keyed on their next progress tick
-    /// in an [`EventWheel`] and popped in `(tick, StageId)` order; idle
-    /// stretches are skipped instead of polled. The default.
-    Wheel,
-    /// The original per-step argmin scan over every core — retained as the
-    /// executable specification the wheel is differenced against.
-    Reference,
-}
 
 /// Result of running one scheduling epoch.
 pub struct EpochResult {
@@ -164,10 +150,6 @@ pub struct Machine {
     /// Which tenant host this machine is in a multi-host fabric.
     /// `HostId(0)` for a standalone machine.
     host: crate::request::HostId,
-    /// Core-stepping scheduler (see [`SchedMode`]).
-    sched: SchedMode,
-    /// The wakeup wheel of the event-wheel scheduler; reset each epoch.
-    wheel: EventWheel<StageId>,
     /// Per-core op buffers, refilled chunk-wise from each trace by
     /// `step_core`; drained FIFO, so buffering never reorders a trace.
     pub(crate) rings: Vec<crate::arena::OpRing>,
@@ -227,8 +209,6 @@ impl Machine {
             poisons_contained: 0,
             workload_gen: 0,
             host: crate::request::HostId(0),
-            sched: SchedMode::Wheel,
-            wheel: EventWheel::new(0),
             rings: (0..cfg.cores)
                 .map(|_| crate::arena::OpRing::new())
                 .collect(),
@@ -243,17 +223,6 @@ impl Machine {
     /// returned snapshots are byte-identical either way.
     pub fn recycle_snapshot(&mut self, snapshot: SystemSnapshot) {
         self.spare_snapshot = Some(snapshot);
-    }
-
-    /// Select the core-stepping scheduler. Both modes produce identical
-    /// counter streams; `Reference` exists for the differential harness
-    /// and for bisecting any future wheel regression.
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched = mode;
-    }
-
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched
     }
 
     /// This machine's tenant identity within a fabric (`HostId(0)` when
@@ -459,10 +428,7 @@ impl Machine {
         let end = self.epoch_end + self.cfg.epoch_cycles;
         {
             let _step = obs::span!("epoch.step");
-            match self.sched {
-                SchedMode::Wheel => self.wheel_step_loop(end),
-                SchedMode::Reference => self.reference_step_loop(end),
-            }
+            self.step_until(end);
         }
         if self.poison_retries > 0 {
             obs::metrics::counter_add("fault.poison_retry", self.poison_retries);
@@ -566,152 +532,53 @@ impl Machine {
         }
     }
 
-    /// Reference scheduler: the per-step argmin scan over every core. Runs
-    /// the globally-earliest core so shared-resource arrivals are
-    /// interleaved in near-perfect time order; ties break to the lowest
-    /// core index. This is the executable specification of the step order —
-    /// the wheel scheduler must match it exactly.
-    fn reference_step_loop(&mut self, end: u64) {
-        loop {
-            let next = (0..self.cores.len())
-                .filter(|&i| !self.cores[i].done && self.cores[i].time < end)
-                .min_by_key(|&i| self.cores[i].time);
-            let Some(c) = next else { break };
-            self.step_core(c);
-        }
-    }
-
-    /// Event-wheel scheduler: every core with a progress tick before the
-    /// boundary is keyed on it; pops come back in `(tick, StageId)` order,
-    /// which is the reference order (earliest time first, lowest core index
-    /// on ties — core `StageId`s order by index). Equivalence holds because
-    /// stepping a core never moves another core's time, so the next argmin
-    /// is always either the re-scheduled core or an undisturbed key already
-    /// in the wheel. For the same reason a popped core keeps stepping, with
-    /// no wheel round trip, for as long as it would be popped next anyway.
+    /// Step the cores up to the boundary `end` in the one order the
+    /// epoch snapshots depend on: the earliest pending core runs next, and
+    /// the lowest core index wins a tie. One scan finds that core and the
+    /// earliest other pending core, both keyed `(time, index)`; the chosen
+    /// core then keeps stepping for as long as it would be chosen next.
+    /// The slice is exact because stepping a core never moves another
+    /// core's time, so the scan's runner-up stays the runner-up until the
+    /// chosen core passes it.
     // pflint::hot — the simulator's innermost scheduling loop.
-    fn wheel_step_loop(&mut self, end: u64) {
-        self.wheel.reset(self.epoch_end);
-        for i in 0..self.cores.len() {
-            if let Some(t) = self.cores[i].next_event() {
-                if t < end {
-                    self.wheel.schedule(t, StageId::core(i));
-                }
-            }
-        }
-        while let Some((_, id)) = self.wheel.pop_before(end) {
-            let c = id.index as usize;
-            // `limit` is the earliest other pending core's time (or the
-            // boundary); `c` also wins a tie there if its index is lower.
-            let mut limit = end;
-            let mut tie_win = false;
+    fn step_until(&mut self, end: u64) {
+        loop {
+            let mut first: Option<(u64, usize)> = None;
+            // The runner-up; `(end, 0)` when there is none, so no core
+            // steps at or past the boundary.
+            let mut next = (end, 0);
             for (i, core) in self.cores.iter().enumerate() {
-                if i != c && !core.done && core.time < limit {
-                    limit = core.time;
-                    tie_win = c < i;
+                if core.done || core.time >= end {
+                    continue;
+                }
+                let key = (core.time, i);
+                if first.is_some_and(|f| f < key) {
+                    next = next.min(key);
+                } else if let Some(f) = first.replace(key) {
+                    // A new earliest core demotes the old one to runner-up.
+                    next = f;
                 }
             }
+            let Some((_, c)) = first else { break };
             loop {
                 self.step_core(c);
                 let core = &self.cores[c];
-                if core.done || core.time > limit || (core.time == limit && !tie_win) {
+                if core.done || (core.time, c) >= next {
                     break;
                 }
             }
-            if let Some(t) = self.cores[c].next_event() {
-                if t < end {
-                    self.wheel.schedule(t, id);
-                }
-            }
         }
     }
 
-    /// How many whole upcoming epochs are quiescent — no core eligible, no
-    /// fault window active — or `None` if the next epoch has work. The
-    /// count is clamped to `cap` and to the next fault-window edge, so a
-    /// window starting inside an idle stretch is still applied on exactly
-    /// the right epoch.
-    fn quiescent_epochs(&self, cap: u64) -> Option<u64> {
-        let ec = self.cfg.epoch_cycles;
-        let next = self
-            .cores
-            .iter()
-            .filter_map(crate::module::SimModule::next_event)
-            .min()?;
-        let j = (next - self.epoch_end) / ec;
-        if j == 0 {
-            return None;
-        }
-        let mut j = j.min(cap);
-        if !self.faults.is_empty() {
-            // Active windows mutate per-epoch state (stall horizons are
-            // `now`-relative) — never skip through one.
-            if self.faults.active(self.epochs_run).next().is_some() {
-                return None;
-            }
-            if let Some(edge) = self.faults.next_edge(self.epochs_run) {
-                j = j.min(edge - self.epochs_run);
-            }
-        }
-        (j > 0).then_some(j)
-    }
-
-    /// Fast-forward `j` epochs in which nothing can happen. Byte-identical
-    /// to `j` calls of [`Machine::run_epoch`] with the results discarded:
-    /// core ticks keep their per-boundary schedule (in-flight GC timing is
-    /// behavioral — a stale entry reads as a prefetch hit), uncore ticks
-    /// are no-ops, and every drain term is either linear in `epoch_cycles`
-    /// (clock ticks) or a since-last-sync delta, so one batched drain per
-    /// stage replaces `j` unit drains exactly.
-    fn skip_quiescent_epochs(&mut self, j: u64) {
-        let _s = obs::span!("epoch.skip");
-        let ec = self.cfg.epoch_cycles;
-        for k in 1..=j {
-            let boundary = self.epoch_end + ec * k;
-            for c in &mut self.cores {
-                crate::module::SimModule::tick(c, boundary);
-            }
-        }
-        let end = self.epoch_end + ec * j;
-        {
-            let Machine {
-                cores,
-                cha,
-                imc,
-                remote,
-                ports,
-                pmu,
-                ..
-            } = self;
-            for stage in stage_modules(cores, cha, imc, remote, ports) {
-                stage.tick(end);
-                stage.drain(pmu, ec * j);
-            }
-        }
-        self.epoch_end = end;
-        self.epochs_run += j;
-        obs::metrics::counter_add("epoch.skipped", j);
-    }
-
-    /// Run until all workloads finish or `max_epochs` elapse. Errors when no
-    /// module makes forward progress across enough consecutive epochs that
-    /// every pending core must have been eligible (a wedged machine).
-    ///
-    /// Under the wheel scheduler, stretches of whole epochs in which no
-    /// core is eligible (every pending core is catching up beyond the
-    /// boundary after a long operation) are fast-forwarded instead of
-    /// polled epoch by epoch — see [`Machine::skip_quiescent_epochs`].
+    /// Run until all workloads finish or `max_epochs` elapse, one
+    /// [`Machine::run_epoch`] at a time with the results discarded. Errors
+    /// when no module makes forward progress across enough consecutive
+    /// epochs that every pending core must have been eligible (a wedged
+    /// machine).
     pub fn run_to_completion(&mut self, max_epochs: u64) -> Result<RunSummary, StallError> {
         let mut epochs = 0;
         let mut guard = ProgressGuard::default();
         while !self.all_done() && epochs < max_epochs {
-            if self.sched == SchedMode::Wheel {
-                if let Some(j) = self.quiescent_epochs(max_epochs - epochs) {
-                    self.skip_quiescent_epochs(j);
-                    epochs += j;
-                    continue;
-                }
-            }
             let done_before = self.cores.iter().filter(|c| c.done).count();
             let e = self.run_epoch();
             epochs += 1;

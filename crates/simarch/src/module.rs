@@ -118,10 +118,12 @@ impl std::fmt::Display for StageId {
 
 /// One independently instrumented stage of the simulated machine.
 ///
-/// The scheduler talks to every architectural block through this trait at
-/// epoch boundaries; the intra-epoch demand walk stays on the typed module
-/// APIs (see `datapath.rs`), because a load crosses several stages within
-/// one borrow of the machine.
+/// The machine talks to every architectural block through this trait at
+/// epoch boundaries only: it ticks each stage to the boundary and drains
+/// it into the PMU, in stage-id order. Stepping the cores between
+/// boundaries stays on `CoreState` (`Machine::step_until`), and the demand
+/// walk stays on the typed module APIs (see `datapath.rs`), because a load
+/// crosses several stages within one borrow of the machine.
 pub trait SimModule: Invariants {
     /// The stage's position in the drain order (unique per machine).
     fn stage_id(&self) -> StageId;
@@ -140,22 +142,6 @@ pub trait SimModule: Invariants {
     /// Registry names of the counters this stage produces, routed through
     /// [`registered`] (pflint: `module-counter-registration`).
     fn counters(&self) -> &'static [&'static str];
-
-    /// Backlog gauge at `now`: queued entries (or backlog cycles for pure
-    /// FIFO-server stages). A scheduler-visible congestion signal; not a
-    /// PMU counter.
-    fn occupancy(&self, now: u64) -> u64;
-
-    /// The next tick at which this stage makes self-driven progress, or
-    /// `None` if it only ever reacts to requests pushed into it. The
-    /// event-wheel scheduler keys each stage on this: a `None` stage is
-    /// never polled — it advances for free inside `tick`/`drain` at the
-    /// boundary — while a `Some(t)` stage is woken exactly at `t`.
-    /// Cores (the only self-driven stages: they own the trace cursors)
-    /// return their pipeline time; every uncore stage takes the default.
-    fn next_event(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Mark a module's counter list as registered. Debug builds verify every

@@ -128,10 +128,6 @@ impl crate::module::SimModule for PooledDevice {
             "unc_cxlpool_mc_excess_wait_cycles.host",
         ])
     }
-
-    fn occupancy(&self, now: u64) -> u64 {
-        self.mc.next_free().saturating_sub(now) / self.gap.max(1)
-    }
 }
 
 impl Invariants for PooledDevice {

@@ -264,12 +264,6 @@ impl BoundedWindow {
         self.inflight.len()
     }
 
-    /// Entries still in flight at `now`, without retiring completed ones —
-    /// a read-only gauge for `SimModule::occupancy`.
-    pub fn occupancy_at(&self, now: u64) -> usize {
-        self.inflight.iter().filter(|Reverse(f)| *f > now).count()
-    }
-
     /// The earliest in-flight completion, if any.
     pub fn earliest(&self) -> Option<u64> {
         self.inflight.peek().map(|Reverse(f)| *f)
@@ -513,19 +507,5 @@ mod tests {
                 blocked: 150
             }
         );
-    }
-
-    #[test]
-    fn occupancy_at_is_read_only() {
-        let mut w = BoundedWindow::new(4);
-        for fin in [100, 200, 300] {
-            w.acquire(0);
-            w.commit(fin);
-        }
-        assert_eq!(w.occupancy_at(0), 3);
-        assert_eq!(w.occupancy_at(150), 2);
-        assert_eq!(w.occupancy_at(300), 0);
-        // The gauge retired nothing: a mutable query still sees all three.
-        assert_eq!(w.outstanding(0), 3);
     }
 }

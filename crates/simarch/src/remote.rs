@@ -32,11 +32,6 @@ impl RemoteSocket {
     pub fn serve(&mut self, arrive: u64) -> Service {
         self.link.serve(arrive, self.latency, self.gap)
     }
-
-    /// Backlog cycles implied by the link horizon at `now`.
-    pub fn backlog_cycles(&self, now: u64) -> u64 {
-        self.link.next_free().saturating_sub(now)
-    }
 }
 
 impl SimModule for RemoteSocket {
@@ -59,10 +54,6 @@ impl SimModule for RemoteSocket {
 
     fn counters(&self) -> &'static [&'static str] {
         registered(&[])
-    }
-
-    fn occupancy(&self, now: u64) -> u64 {
-        self.backlog_cycles(now)
     }
 }
 
@@ -88,16 +79,6 @@ mod tests {
         assert_eq!(a.finish, 100);
         assert_eq!(b.start, 10);
         assert_eq!(b.finish, 110);
-    }
-
-    #[test]
-    fn backlog_reflects_link_horizon() {
-        let mut r = RemoteSocket::new(100, 10);
-        for _ in 0..5 {
-            r.serve(0);
-        }
-        assert_eq!(r.backlog_cycles(0), 50);
-        assert_eq!(r.backlog_cycles(100), 0);
     }
 
     #[test]

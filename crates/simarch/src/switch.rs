@@ -298,10 +298,6 @@ impl crate::module::SimModule for CxlSwitch {
             "unc_cxlsw_link_busy_cycles.port",
         ])
     }
-
-    fn occupancy(&self, _now: u64) -> u64 {
-        self.pending() as u64
-    }
 }
 
 impl Invariants for CxlSwitch {

@@ -13,12 +13,12 @@ run() {
 
 run cargo build --release
 run cargo test -q
-# Scheduler differential gate (DESIGN.md §2.2.3): the event wheel and the
-# retained per-tick reference scheduler must emit byte-identical counter
-# streams across randomized scenario × fault-plan × topology matrices.
-# Already part of the workspace suite above; named here so a failure is
-# unmistakable in CI logs.
-run cargo test -q -p simarch --test scheduler_equivalence
+# Scheduler differential gate (DESIGN.md §2.2.3): the core step order
+# (earliest pending core first, lowest index on a tie) must reproduce the
+# committed counter digests of 29 seeded scenario × fault-plan × topology
+# tuples. Already part of the workspace suite above; named here so a
+# failure is unmistakable in CI logs.
+run cargo test -q -p simarch --test scheduler_digests
 # Benchmark smoke runs (benchmark/README.md): the standalone benchmark
 # crate builds against the workspace crates and runs every workload for
 # about a second, untraced and traced, with its correctness checks on.
