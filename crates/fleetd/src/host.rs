@@ -154,3 +154,28 @@ pub fn accumulate(delta: &SystemDelta, totals: &mut [u64]) {
         add(delta.cxl_sum(ev));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simarch::invariants::assert_invariants;
+
+    /// `Machine`'s audit requires every snoop-filter owner bit to be backed
+    /// by that core's L2 holding the line; check it after each epoch of
+    /// seeded runs on the host geometry.
+    #[test]
+    fn owner_bits_stay_backed_on_the_host_config() {
+        for (app, seed, policy) in [
+            ("505.mcf_r", 1, MemPolicy::Cxl),
+            ("503.bwaves_r", 2, MemPolicy::Local),
+        ] {
+            let trace = workloads::build(app, u64::MAX / 2, seed).unwrap();
+            let mut m = Machine::new(host_config());
+            m.attach(0, Workload::new(app, trace, policy));
+            for _ in 0..20 {
+                m.run_epoch();
+                assert_invariants(&m);
+            }
+        }
+    }
+}

@@ -7,7 +7,9 @@
 //! and another chunk of the ~16% spent inside the allocator itself (see
 //! PERFORMANCE.md). Both structures here are flat `Vec`s that reach a
 //! steady-state capacity within the first few epochs and never allocate
-//! again on the hot path.
+//! again on the hot path. They back the core's in-flight fill and store
+//! tracking; the snoop-filter directory lives in the LLC lines instead
+//! (see `cha.rs`).
 //!
 //! Determinism: neither container's *iteration* order is ever observed by
 //! the simulation — callers only get/insert/remove by key and sweep with

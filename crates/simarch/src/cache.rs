@@ -23,9 +23,10 @@ impl LineState {
     }
 }
 
-/// One cached line.
+/// One cached line. `P` is a per-line payload: the LLC slices keep their
+/// snoop-filter owner mask there; `()` takes no space in L1D and L2 lines.
 #[derive(Clone, Copy, Debug)]
-pub struct Line {
+pub struct Line<P = ()> {
     pub tag: u64,
     pub state: LineState,
     /// Cycle at which the fill completes; a demand access before this merges
@@ -34,15 +35,17 @@ pub struct Line {
     /// True if the line was brought in by a prefetch and not yet demanded.
     pub prefetched: bool,
     lru: u64,
+    pub payload: P,
 }
 
 /// What fell out of the cache on an insertion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Eviction {
+pub struct Eviction<P = ()> {
     pub line_addr: u64,
     pub state: LineState,
     /// The victim had never been demanded after prefetch (dead prefetch).
     pub was_prefetched: bool,
+    pub payload: P,
 }
 
 /// A set-associative cache, LRU replacement.
@@ -51,8 +54,8 @@ pub struct Eviction {
 /// per-set occupancy count instead of a `Vec<Vec<Line>>` — one allocation
 /// per cache, no pointer chase per set, and insertion never allocates.
 #[derive(Clone, Debug)]
-pub struct SetAssocCache {
-    lines: Vec<Line>,
+pub struct SetAssocCache<P = ()> {
+    lines: Vec<Line<P>>,
     /// Occupied ways per set; `lines[s*ways .. s*ways + lens[s]]` are live.
     lens: Vec<u16>,
     ways: usize,
@@ -60,23 +63,32 @@ pub struct SetAssocCache {
     lru_clock: u64,
 }
 
-const EMPTY_LINE: Line = Line {
-    tag: 0,
-    state: LineState::Shared,
-    ready_at: 0,
-    prefetched: false,
-    lru: 0,
-};
-
 impl SetAssocCache {
-    /// Build a cache with `size_bytes / 64 / ways` sets (rounded down to a
-    /// power of two so set selection is a mask).
+    /// A cache without payload; [`Self::with_payload`] has the geometry.
     pub fn new(size_bytes: usize, ways: usize) -> Self {
+        Self::with_payload(size_bytes, ways)
+    }
+}
+
+impl<P: Copy + Default> SetAssocCache<P> {
+    /// Build a cache with `size_bytes / 64 / ways` sets, rounded down to a
+    /// power of two so set selection is a mask — except that an exact power
+    /// of two is halved (`next_power_of_two() / 2`): SPR and EMR model 384
+    /// of 768 L1D lines and 16 384 of 32 768 L2 lines.
+    pub fn with_payload(size_bytes: usize, ways: usize) -> Self {
         let lines = (size_bytes / crate::mem::CACHELINE).max(1);
         let sets = (lines / ways).max(1).next_power_of_two() / 2;
         let sets = sets.max(1);
+        let empty = Line {
+            tag: 0,
+            state: LineState::Shared,
+            ready_at: 0,
+            prefetched: false,
+            lru: 0,
+            payload: P::default(),
+        };
         SetAssocCache {
-            lines: vec![EMPTY_LINE; sets * ways],
+            lines: vec![empty; sets * ways],
             lens: vec![0; sets],
             ways,
             set_mask: sets as u64 - 1,
@@ -118,7 +130,7 @@ impl SetAssocCache {
 
     /// Look a line up, touching LRU on hit.
     // pflint::hot — per-access path; must not allocate.
-    pub fn lookup(&mut self, line_addr: u64) -> Option<&mut Line> {
+    pub fn lookup(&mut self, line_addr: u64) -> Option<&mut Line<P>> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
         let set = self.set_of(line_addr);
@@ -130,14 +142,23 @@ impl SetAssocCache {
 
     /// Look a line up without touching LRU (snoops, probes).
     // pflint::hot — per-snoop path; must not allocate.
-    pub fn peek(&self, line_addr: u64) -> Option<&Line> {
+    pub fn peek(&self, line_addr: u64) -> Option<&Line<P>> {
         let set = self.set_of(line_addr);
         self.lines[self.set_range(set)]
             .iter()
             .find(|l| l.tag == line_addr)
     }
 
-    /// Insert (or overwrite) a line, evicting LRU if the set is full.
+    /// Mutable [`Self::peek`]: LRU order is left as it is.
+    // pflint::hot — per-spill path; must not allocate.
+    pub fn peek_mut(&mut self, line_addr: u64) -> Option<&mut Line<P>> {
+        let set = self.set_of(line_addr);
+        let r = self.set_range(set);
+        self.lines[r].iter_mut().find(|l| l.tag == line_addr)
+    }
+
+    /// Insert (or overwrite) a line, evicting LRU if the set is full. An
+    /// overwritten line keeps its payload; a new one starts at the default.
     // pflint::hot — per-fill path; must not allocate.
     pub fn insert(
         &mut self,
@@ -145,7 +166,21 @@ impl SetAssocCache {
         state: LineState,
         ready_at: u64,
         prefetched: bool,
-    ) -> Option<Eviction> {
+    ) -> Option<Eviction<P>> {
+        self.insert_with(line_addr, state, ready_at, prefetched, |_| {})
+    }
+
+    /// [`Self::insert`], then apply `update` to the line's payload, all in
+    /// one scan of the set.
+    // pflint::hot — per-fill path; must not allocate.
+    pub fn insert_with(
+        &mut self,
+        line_addr: u64,
+        state: LineState,
+        ready_at: u64,
+        prefetched: bool,
+        update: impl FnOnce(&mut P),
+    ) -> Option<Eviction<P>> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
         let set_idx = self.set_of(line_addr);
@@ -157,15 +192,18 @@ impl SetAssocCache {
             l.ready_at = ready_at;
             l.prefetched = prefetched;
             l.lru = clock;
+            update(&mut l.payload);
             return None;
         }
-        let new = Line {
+        let mut new = Line {
             tag: line_addr,
             state,
             ready_at,
             prefetched,
             lru: clock,
+            payload: P::default(),
         };
+        update(&mut new.payload);
         if n >= self.ways {
             // Same victim as Vec::swap_remove + push: the LRU slot takes the
             // last live line and the new line lands in the last slot.
@@ -181,6 +219,7 @@ impl SetAssocCache {
                 line_addr: v.tag,
                 state: v.state,
                 was_prefetched: v.prefetched,
+                payload: v.payload,
             })
         } else {
             self.lines[base + n] = new;
@@ -215,7 +254,7 @@ impl SetAssocCache {
     }
 
     /// Iterate all resident lines (diagnostics/tests).
-    pub fn iter(&self) -> impl Iterator<Item = &Line> {
+    pub fn iter(&self) -> impl Iterator<Item = &Line<P>> {
         self.lens
             .iter()
             .enumerate()
@@ -237,6 +276,24 @@ mod tests {
         let c = SetAssocCache::new(48 << 10, 12);
         assert!(c.n_sets().is_power_of_two());
         assert!(c.capacity() <= 48 << 10 >> 6);
+    }
+
+    /// Lines modelled by each preset's L1D, L2 and LLC slice (TINY's L2
+    /// holds 512 lines, SPR's 32 768; `with_payload` says why half).
+    #[test]
+    fn preset_geometries_are_pinned() {
+        use crate::config::MachineConfig;
+        for (c, want) in [
+            (MachineConfig::spr(), [384, 16_384, 15_360]),
+            (MachineConfig::emr(), [384, 16_384, 65_536]),
+            (MachineConfig::tiny(), [48, 256, 960]),
+        ] {
+            let slice = c.llc.size_bytes / c.llc_slices;
+            let geometry = [(c.l1d.size_bytes, c.l1d.ways), (c.l2.size_bytes, c.l2.ways)];
+            let got = [geometry[0], geometry[1], (slice, c.llc.ways)]
+                .map(|(bytes, ways)| SetAssocCache::new(bytes, ways).capacity());
+            assert_eq!(got, want, "{}", c.name);
+        }
     }
 
     #[test]

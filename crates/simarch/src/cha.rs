@@ -6,6 +6,12 @@
 //! "we find a special hardware module — called TOR — which records the
 //! core-CHA mapping for different types of requests").
 //!
+//! The snoop filter lives in the LLC lines: each line's payload is the
+//! bitmask of cores whose L2 holds it, recorded by the fill that inserts
+//! the line and back-invalidated when the LLC evicts it. So every LLC miss
+//! is a snoop-filter miss, and the directory needs no capacity of its own:
+//! the `Machine` audit checks that each owner's L2 holds the line.
+//!
 //! Sub-NUMA clustering: slices are split into two clusters; a request from a
 //! core in the other cluster pays `snc_latency` and is reported as an
 //! SNC-distant hit, which is how the paper's `snc LLC` rows arise.
@@ -66,203 +72,23 @@ pub enum ChaOutcome {
         /// True if the slice is in the requester's other SNC cluster.
         snc_distant: bool,
     },
-    /// The snoop filter says peer core(s) may hold the line: the machine
-    /// must probe those private caches.
-    PeerProbe {
-        /// Bitmask of candidate cores.
-        owners: u64,
-        /// Directory believes the line is modified somewhere.
-        dirty: bool,
-        /// Cycle at which the probe (snoop) responses are in.
-        finish: u64,
-        snc_distant: bool,
-    },
-    /// True LLC + SF miss: go to memory. `depart` is when the request leaves
-    /// the CHA toward the IMC or M2PCIe.
-    Miss { depart: u64, snc_distant: bool },
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct DirEntry {
-    owners: u64,
-    dirty: bool,
-    /// Insertion number of this residency; its `order` slot carries the
-    /// same number, so slots left by earlier residencies read as stale.
-    seq: u64,
-}
-
-/// The snoop filter: a capacity-bounded coherence directory over all
-/// private-cache lines in the socket.
-///
-/// The directory is an open-addressed [`LineMap`] rather than the seed's
-/// BTreeMap: every probe/record/clear is keyed by line, and victim
-/// selection reads only the FIFO `order` queue — never map iteration
-/// order — so the swap is invisible to the counter stream while removing
-/// a per-miss tree allocation (`record` was 6% of profiled time).
-#[derive(Debug, Default)]
-pub struct SnoopFilter {
-    entries: crate::arena::LineMap<DirEntry>,
-    /// FIFO victimisation order as `(line, seq)` slots. Clearing an entry
-    /// leaves its slot behind as stale; stale slots are skipped at
-    /// overflow and dropped in bulk once the queue passes twice the
-    /// capacity, so the queue stays bounded while entries churn.
-    order: std::collections::VecDeque<(u64, u64)>,
-    /// Insertion counter stamped into each new entry and its slot.
-    next_seq: u64,
-    capacity: usize,
-}
-
-/// Is `(line, seq)` the queue slot of `line`'s current residency?
-fn is_live(entries: &crate::arena::LineMap<DirEntry>, (line, seq): (u64, u64)) -> bool {
-    entries.get(line).is_some_and(|e| e.seq == seq)
-}
-
-impl SnoopFilter {
-    pub fn new(capacity: usize) -> Self {
-        SnoopFilter {
-            entries: crate::arena::LineMap::new(),
-            order: std::collections::VecDeque::new(),
-            next_seq: 0,
-            capacity: capacity.max(16),
-        }
-    }
-
-    /// Record that `core` now holds `line`. Returns a victim line whose
-    /// owners must be back-invalidated if the directory overflowed.
-    // pflint::hot
-    pub fn record(&mut self, line: u64, core: usize, dirty: bool) -> Option<(u64, u64)> {
-        if let Some(e) = self.entries.get_mut(line) {
-            e.owners |= 1 << core;
-            e.dirty |= dirty;
-            return None;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(
-            line,
-            DirEntry {
-                owners: 1 << core,
-                dirty,
-                seq,
-            },
-        );
-        self.order.push_back((line, seq));
-        if self.order.len() > 2 * self.capacity {
-            let entries = &self.entries;
-            self.order.retain(|&slot| is_live(entries, slot));
-        }
-        if self.entries.len() > self.capacity {
-            // FIFO victimisation over live slots. The new entry's slot is
-            // last, and more than `capacity` live slots precede it.
-            while let Some(slot) = self.order.pop_front() {
-                if is_live(&self.entries, slot) {
-                    let owners = self.entries.remove(slot.0).map_or(0, |e| e.owners);
-                    return Some((slot.0, owners));
-                }
-            }
-        }
-        None
-    }
-
-    /// Look the line up without modifying it.
-    // pflint::hot
-    pub fn probe(&self, line: u64) -> Option<(u64, bool)> {
-        self.entries.get(line).map(|e| (e.owners, e.dirty))
-    }
-
-    /// Drop `core` from the owner set (eviction/invalidation upstream).
-    // pflint::hot
-    pub fn clear(&mut self, line: u64, core: usize) {
-        if let Some(e) = self.entries.get_mut(line) {
-            e.owners &= !(1 << core);
-            if e.owners == 0 {
-                self.entries.remove(line);
-            }
-        }
-    }
-
-    /// Remove the whole entry (line left all private caches).
-    pub fn drop_line(&mut self, line: u64) {
-        self.entries.remove(line);
-    }
-
-    /// Mark the line dirty (a core wrote it).
-    pub fn mark_dirty(&mut self, line: u64) {
-        if let Some(e) = self.entries.get_mut(line) {
-            e.dirty = true;
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl Invariants for SnoopFilter {
-    fn component(&self) -> &'static str {
-        "cha::SnoopFilter"
-    }
-
-    fn collect_violations(&self, out: &mut Vec<Violation>) {
-        // Capacity bound: record() victimises before returning, so the
-        // directory never rests above its capacity.
-        invariant!(
-            out,
-            self.component(),
-            self.entries.len() <= self.capacity,
-            "directory overflow: entries={} capacity={}",
-            self.entries.len(),
-            self.capacity
-        );
-        // Ownership conservation: an entry with no owners must have been
-        // removed (clear() drops empties eagerly).
-        let mut ownerless = false;
-        self.entries.for_each(|_, e| ownerless |= e.owners == 0);
-        invariant!(
-            out,
-            self.component(),
-            !ownerless,
-            "ownerless directory entries present"
-        );
-        // The FIFO order queue tracks at least every live entry (it may
-        // additionally hold stale slots awaiting compaction), and
-        // compaction bounds it.
-        invariant!(
-            out,
-            self.component(),
-            self.order.len() >= self.entries.len(),
-            "order queue lost entries: order={} entries={}",
-            self.order.len(),
-            self.entries.len()
-        );
-        invariant!(
-            out,
-            self.component(),
-            self.order.len() <= 2 * self.capacity,
-            "order queue unbounded: order={} capacity={}",
-            self.order.len(),
-            self.capacity
-        );
-    }
+    /// LLC (and so snoop-filter) miss: go to memory. `depart` is when the
+    /// request leaves the CHA toward the IMC or M2PCIe.
+    Miss { depart: u64 },
 }
 
 struct Slice {
-    llc: SetAssocCache,
+    /// The LLC slice; each line's payload is its snoop-filter owner mask.
+    llc: SetAssocCache<u64>,
     port: FifoServer,
 }
 
 /// All CHAs of one socket, plus the socket-scope counter plumbing.
 pub struct ChaComplex {
     slices: Vec<Slice>,
-    pub sf: SnoopFilter,
     n_cores: usize,
     tag_latency: u64,
     hit_latency: u64,
-    mesh_latency: u64,
     snc_latency: u64,
     /// Per-TOR-class non-empty coverage (threshold1 counters).
     tor_ne: Vec<Coverage>,
@@ -272,22 +98,16 @@ pub struct ChaComplex {
 impl ChaComplex {
     pub fn new(cfg: &MachineConfig) -> Self {
         let per_slice = cfg.llc.size_bytes / cfg.llc_slices;
-        // SF sized to cover all private caches with 1.5x slack, as on real
-        // parts; undersizing causes back-invalidations (SfEviction).
-        let private_lines =
-            cfg.cores * (cfg.l1d.size_bytes + cfg.l2.size_bytes) / crate::mem::CACHELINE;
         ChaComplex {
             slices: (0..cfg.llc_slices)
                 .map(|_| Slice {
-                    llc: SetAssocCache::new(per_slice, cfg.llc.ways),
+                    llc: SetAssocCache::with_payload(per_slice, cfg.llc.ways),
                     port: FifoServer::new(),
                 })
                 .collect(),
-            sf: SnoopFilter::new(private_lines * 3 / 2),
             n_cores: cfg.cores,
             tag_latency: cfg.llc.tag_latency,
             hit_latency: cfg.llc.hit_latency,
-            mesh_latency: cfg.mesh_latency,
             snc_latency: cfg.snc_latency,
             tor_ne: (0..TorClass::COUNT).map(|_| Coverage::new()).collect(),
             synced_tor_ne: vec![0; TorClass::COUNT],
@@ -337,50 +157,19 @@ impl ChaComplex {
                 l.state = LineState::Modified;
             }
             bank.inc(ChaEvent::LlcLookupHit);
-            let owners_to_invalidate = if rfo {
-                self.sf.probe(line).map(|(o, _)| o)
-            } else {
-                None
-            };
-            if let Some(owners) = owners_to_invalidate {
-                // Ownership transfer: peers must drop their copies; the
-                // machine handles the actual private-cache invalidations via
-                // the PeerProbe path only on LLC miss, so for an LLC hit we
-                // invalidate eagerly through the directory.
-                let _ = owners;
-            }
             return ChaOutcome::LlcHit {
                 finish: ready + (self.hit_latency - self.tag_latency),
                 snc_distant,
             };
         }
         bank.inc(ChaEvent::LlcLookupMiss);
-        // Snoop filter consultation.
-        match self.sf.probe(line) {
-            Some((owners, dirty)) if owners & !(1 << core) != 0 => {
-                bank.inc(ChaEvent::SfHit);
-                bank.inc(ChaEvent::SnoopLocalSent);
-                let probe_done = t + 2 * self.mesh_latency + self.tag_latency;
-                ChaOutcome::PeerProbe {
-                    owners: owners & !(1 << core),
-                    dirty,
-                    finish: probe_done,
-                    snc_distant,
-                }
-            }
-            _ => {
-                bank.inc(ChaEvent::SfMiss);
-                ChaOutcome::Miss {
-                    depart: t,
-                    snc_distant,
-                }
-            }
-        }
+        bank.inc(ChaEvent::SfMiss);
+        ChaOutcome::Miss { depart: t }
     }
 
-    /// Install a line into the LLC after a fill from memory or a peer, and
-    /// record the requester in the snoop filter. Returns (llc_eviction,
-    /// sf_back_invalidation).
+    /// Install a line into the LLC after a fill from memory, recording
+    /// `core` as an owner in the same set scan. Returns the LLC eviction
+    /// it displaced, if any, with the victim's owners to back-invalidate.
     pub fn fill(
         &mut self,
         core: usize,
@@ -388,28 +177,26 @@ impl ChaComplex {
         state: LineState,
         ready_at: u64,
         prefetched: bool,
-        bank: &mut Bank<ChaEvent>,
-    ) -> (Option<Eviction>, Option<(u64, u64)>) {
+    ) -> Option<Eviction<u64>> {
         let s = slice_of(line, self.slices.len());
-        let ev = self.slices[s].llc.insert(line, state, ready_at, prefetched);
-        let dirty = state == LineState::Modified;
-        let sf_victim = self.sf.record(line, core, dirty);
-        if sf_victim.is_some() {
-            bank.inc(ChaEvent::SfEviction);
-        }
-        (ev, sf_victim)
+        self.slices[s]
+            .llc
+            .insert_with(line, state, ready_at, prefetched, |owners| {
+                *owners |= 1 << core
+            })
     }
 
     /// A write-back from a core's L2 (or an explicit flush) lands in the
-    /// LLC. Returns the LLC eviction it displaced, if any — the caller must
-    /// push a Modified victim to memory.
+    /// LLC, keeping the owners of a line already there. Returns the LLC
+    /// eviction it displaced, if any — the caller must back-invalidate its
+    /// owners and push a Modified victim to memory.
     pub fn writeback(
         &mut self,
         line: u64,
         dirty: bool,
         arrive: u64,
         bank: &mut Bank<ChaEvent>,
-    ) -> (u64, Option<Eviction>) {
+    ) -> (u64, Option<Eviction<u64>>) {
         let s = slice_of(line, self.slices.len());
         let svc = self.slices[s].port.serve(arrive, self.tag_latency, 2);
         let scen = if dirty { WbScen::MToI } else { WbScen::EfToI };
@@ -431,10 +218,31 @@ impl ChaComplex {
         self.slices[s].llc.peek(line).is_some()
     }
 
-    /// Drop a line from the LLC (used for inclusive back-invalidation).
-    pub fn llc_invalidate(&mut self, line: u64) -> Option<LineState> {
+    /// The cores the snoop filter records as holding `line`.
+    #[cfg(test)]
+    pub(crate) fn owners(&self, line: u64) -> u64 {
         let s = slice_of(line, self.slices.len());
-        self.slices[s].llc.invalidate(line)
+        self.slices[s].llc.peek(line).map_or(0, |l| l.payload)
+    }
+
+    /// Remove the cores in `cores` from `line`'s owners, without touching
+    /// LRU, and return those that were owners.
+    // pflint::hot
+    pub(crate) fn take_owners(&mut self, line: u64, cores: u64) -> u64 {
+        let s = slice_of(line, self.slices.len());
+        self.slices[s].llc.peek_mut(line).map_or(0, |l| {
+            let taken = l.payload & cores;
+            l.payload &= !taken;
+            taken
+        })
+    }
+
+    /// Every LLC line with at least one owner, as `(line, owners)`.
+    pub(crate) fn owned_lines(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.slices
+            .iter()
+            .flat_map(|s| s.llc.iter())
+            .filter_map(|l| (l.payload != 0).then_some((l.tag, l.payload)))
     }
 
     /// Record TOR insert/occupancy/threshold counters for one completed
@@ -587,7 +395,6 @@ impl Invariants for ChaComplex {
         for slice in &self.slices {
             slice.port.collect_violations(out);
         }
-        self.sf.collect_violations(out);
         for (i, cov) in self.tor_ne.iter().enumerate() {
             cov.collect_violations(out);
             // The flushed TOR baseline can never run ahead of its coverage.
@@ -649,70 +456,26 @@ mod tests {
         let (mut cha, mut bank) = setup();
         let out = cha.lookup(0, 42, false, 100, &mut bank);
         assert!(matches!(out, ChaOutcome::Miss { .. }));
-        cha.fill(0, 42, LineState::Exclusive, 500, false, &mut bank);
+        cha.fill(0, 42, LineState::Exclusive, 500, false);
         let out2 = cha.lookup(0, 42, false, 600, &mut bank);
         assert!(matches!(out2, ChaOutcome::LlcHit { .. }), "{out2:?}");
         assert_eq!(bank.read(ChaEvent::LlcLookupHit), 1);
         assert_eq!(bank.read(ChaEvent::LlcLookupMiss), 1);
-    }
-
-    #[test]
-    fn snoop_filter_directs_peer_probe() {
-        let (mut cha, mut bank) = setup();
-        // Core 1 holds line 7 per the directory, but it's not in the LLC.
-        cha.sf.record(7, 1, true);
-        let out = cha.lookup(0, 7, false, 0, &mut bank);
-        match out {
-            ChaOutcome::PeerProbe { owners, dirty, .. } => {
-                assert_eq!(owners, 0b10);
-                assert!(dirty);
-            }
-            o => panic!("expected PeerProbe, got {o:?}"),
-        }
-        assert_eq!(bank.read(ChaEvent::SfHit), 1);
-        assert_eq!(bank.read(ChaEvent::SnoopLocalSent), 1);
-    }
-
-    #[test]
-    fn requester_own_stale_entry_does_not_probe_itself() {
-        let (mut cha, mut bank) = setup();
-        cha.sf.record(9, 0, false);
-        let out = cha.lookup(0, 9, false, 0, &mut bank);
-        assert!(matches!(out, ChaOutcome::Miss { .. }), "{out:?}");
+        assert_eq!(bank.read(ChaEvent::SfMiss), 1);
     }
 
     #[test]
     fn fill_records_owner_in_directory() {
         let (mut cha, mut bank) = setup();
-        cha.fill(2, 13, LineState::Exclusive, 0, false, &mut bank);
-        assert_eq!(cha.sf.probe(13), Some((0b100, false)));
-    }
-
-    #[test]
-    fn sf_overflow_back_invalidates() {
-        let mut sf = SnoopFilter::new(16);
-        let mut victims = 0;
-        for line in 0..64 {
-            if sf.record(line, 0, false).is_some() {
-                victims += 1;
-            }
-        }
-        assert!(victims > 0);
-        assert!(sf.len() <= 17);
-    }
-
-    #[test]
-    fn sf_order_queue_stays_bounded_under_churn() {
-        let mut sf = SnoopFilter::new(64);
-        for line in 0..100 * 64 {
-            assert_eq!(sf.record(line, 0, false), None);
-            sf.clear(line, 0);
-            assert!(sf.order.len() <= 2 * 64, "order {}", sf.order.len());
-        }
-        assert!(sf.is_empty());
-        let mut out = Vec::new();
-        sf.collect_violations(&mut out);
-        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(cha.fill(2, 13, LineState::Exclusive, 0, false), None);
+        cha.fill(0, 13, LineState::Exclusive, 0, false);
+        // Lookups and write-backs keep the owners of a resident line.
+        cha.lookup(1, 13, true, 0, &mut bank);
+        cha.writeback(13, true, 0, &mut bank);
+        assert_eq!(cha.owners(13), 0b101);
+        assert_eq!(cha.take_owners(13, !0b1), 0b100);
+        assert_eq!(cha.owners(13), 0b1);
+        assert_eq!(cha.take_owners(14, !0), 0, "absent line has no owners");
     }
 
     #[test]
@@ -781,7 +544,7 @@ mod tests {
             }
         }
         let line = distant_line.unwrap();
-        cha.fill(0, line, LineState::Exclusive, 0, false, &mut bank);
+        cha.fill(0, line, LineState::Exclusive, 0, false);
         match cha.lookup(0, line, false, 0, &mut bank) {
             ChaOutcome::LlcHit { snc_distant, .. } => assert!(snc_distant),
             o => panic!("{o:?}"),

@@ -264,6 +264,10 @@ impl MachineConfig {
         if self.cores == 0 {
             return Err("at least one core required".into());
         }
+        // The snoop filter keeps each LLC line's owners as a u64 bitmask.
+        if self.cores > 64 {
+            return Err(format!("at most 64 cores supported, got {}", self.cores));
+        }
         if self.llc_slices == 0 {
             return Err("at least one LLC slice required".into());
         }
@@ -294,6 +298,22 @@ mod tests {
         MachineConfig::spr().validate().unwrap();
         MachineConfig::emr().validate().unwrap();
         MachineConfig::tiny().validate().unwrap();
+    }
+
+    #[test]
+    fn core_count_is_capped_at_the_owner_mask_width() {
+        let mut c = MachineConfig::tiny();
+        c.cores = 65;
+        assert!(c.validate().unwrap_err().contains("at most 64 cores"));
+        c.cores = 64;
+        let mut m = crate::Machine::new(c);
+        let trace = crate::trace::SeqRwTrace::new(1 << 20, 20_000, 4);
+        let workload = crate::Workload::new("t", Box::new(trace), MemPolicy::Local);
+        m.attach(63, workload);
+        for _ in 0..3 {
+            m.run_epoch();
+        }
+        assert!(m.cha.owned_lines().any(|(_, owners)| owners == 1 << 63));
     }
 
     #[test]

@@ -419,47 +419,7 @@ impl Machine {
                 };
                 (finish, loc, false)
             }
-            ChaOutcome::PeerProbe {
-                owners,
-                dirty,
-                finish,
-                snc_distant: _,
-            } => {
-                let found = self.probe_peers(c, line, owners, rfo);
-                let bank = &mut self.pmu.chas[0];
-                if found {
-                    bank.inc(if dirty {
-                        pmu::ChaEvent::SnoopRspHitm
-                    } else {
-                        pmu::ChaEvent::SnoopRspHit
-                    });
-                    // Serve from the peer cache; line is also installed in
-                    // the LLC (the CHA caches the snoop data).
-                    let state = if rfo {
-                        LineState::Modified
-                    } else {
-                        LineState::Forward
-                    };
-                    self.cha_fill(c, line, state, finish, false, depart);
-                    (finish, ServeLoc::PeerCache, true)
-                } else {
-                    bank.inc(pmu::ChaEvent::SnoopRspMiss);
-                    // Stale directory entry: pay the probe, then go to
-                    // memory.
-                    let (fin, loc) = self.memory_access(c, line, node, rfo, finish);
-                    let state = if rfo {
-                        LineState::Modified
-                    } else {
-                        LineState::Exclusive
-                    };
-                    self.cha_fill(c, line, state, fin, false, depart);
-                    (fin, loc, true)
-                }
-            }
-            ChaOutcome::Miss {
-                depart: d,
-                snc_distant: _,
-            } => {
+            ChaOutcome::Miss { depart: d } => {
                 let (fin, loc) = self.memory_access(c, line, node, rfo, d);
                 let state = if rfo {
                     LineState::Modified
@@ -595,8 +555,8 @@ impl Machine {
         }
     }
 
-    /// Install a line into the LLC, handling the eviction chain (dirty LLC
-    /// victims go to memory) and snoop-filter back-invalidations.
+    /// Install a line into the LLC, handling the eviction chain (owners of
+    /// the victim are back-invalidated, a dirty victim goes to memory).
     ///
     /// `now` is the triggering request's departure time: eviction traffic is
     /// injected at `now`, not at the fill-completion time, so shared-server
@@ -612,40 +572,17 @@ impl Machine {
         prefetched: bool,
         now: u64,
     ) {
-        let (ev, sf_victim) =
-            self.cha
-                .fill(c, line, state, ready_at, prefetched, &mut self.pmu.chas[0]);
-        if let Some(Eviction {
-            line_addr, state, ..
-        }) = ev
-        {
-            self.evict_from_llc(line_addr, state, now);
-        }
-        if let Some((victim_line, owners)) = sf_victim {
-            // Inclusive back-invalidation: the victim leaves every private
-            // cache that holds it.
-            for o in 0..self.cores.len() {
-                if owners & (1 << o) != 0 {
-                    self.cores[o].l1d.invalidate(victim_line);
-                    self.cores[o].l2.invalidate(victim_line);
-                }
-            }
+        if let Some(ev) = self.cha.fill(c, line, state, ready_at, prefetched) {
+            self.evict_from_llc(ev, now);
         }
     }
 
-    /// An LLC victim: dirty lines are written back to their home memory.
-    fn evict_from_llc(&mut self, line: u64, state: LineState, at: u64) {
-        // Back-invalidate private copies (inclusive LLC).
-        if let Some((owners, _)) = self.cha.sf.probe(line) {
-            for o in 0..self.cores.len() {
-                if owners & (1 << o) != 0 {
-                    self.cores[o].l1d.invalidate(line);
-                    self.cores[o].l2.invalidate(line);
-                }
-            }
-            self.cha.sf.drop_line(line);
-        }
-        if state != LineState::Modified {
+    /// An LLC victim leaves every private cache that holds it (inclusive
+    /// LLC); a dirty one is written back to its home memory.
+    fn evict_from_llc(&mut self, ev: Eviction<u64>, at: u64) {
+        let line = ev.line_addr;
+        self.back_invalidate(line, ev.payload);
+        if ev.state != LineState::Modified {
             return;
         }
         // The "actual CXL.mem store" of §2.2 path #2.
@@ -663,38 +600,19 @@ impl Machine {
         }
     }
 
-    /// Probe peer private caches after an SF hit. Returns true if any peer
-    /// actually held the line; peers are downgraded (read) or invalidated
-    /// (RFO).
-    fn probe_peers(&mut self, requester: usize, line: u64, owners: u64, rfo: bool) -> bool {
-        let mut found = false;
-        for o in 0..self.cores.len() {
-            if o == requester || owners & (1 << o) == 0 {
-                continue;
-            }
-            let core = &mut self.cores[o];
-            if rfo {
-                found |= core.l1d.invalidate(line).is_some();
-                found |= core.l2.invalidate(line).is_some();
-                self.cha.sf.clear(line, o);
-            } else {
-                found |= core.l1d.downgrade(line).is_some();
-                found |= core.l2.downgrade(line).is_some();
-            }
-        }
-        found
+    /// Invalidate every peer copy (RFO hitting an LLC line).
+    fn invalidate_peers(&mut self, requester: usize, line: u64) {
+        let peers = self.cha.take_owners(line, !(1 << requester));
+        self.back_invalidate(line, peers);
     }
 
-    /// Invalidate every peer copy (RFO hitting a shared LLC line).
-    fn invalidate_peers(&mut self, requester: usize, line: u64) {
-        if let Some((owners, _)) = self.cha.sf.probe(line) {
-            for o in 0..self.cores.len() {
-                if o != requester && owners & (1 << o) != 0 {
-                    self.cores[o].l1d.invalidate(line);
-                    self.cores[o].l2.invalidate(line);
-                    self.cha.sf.clear(line, o);
-                }
-            }
+    /// Drop `line` from the L1D and L2 of every core in the `cores` mask.
+    fn back_invalidate(&mut self, line: u64, mut cores: u64) {
+        while cores != 0 {
+            let o = cores.trailing_zeros() as usize;
+            cores &= cores - 1;
+            self.cores[o].l1d.invalidate(line);
+            self.cores[o].l2.invalidate(line);
         }
     }
 
@@ -744,7 +662,7 @@ impl Machine {
 
     fn spill_l2_victim(&mut self, c: usize, ev: Eviction, at: u64) {
         let dirty = ev.state == LineState::Modified;
-        self.cha.sf.clear(ev.line_addr, c);
+        self.cha.take_owners(ev.line_addr, 1 << c);
         if dirty {
             self.pmu.cores[c].inc(CoreEvent::OcrModifiedWriteAnyResponse);
             let (_fin, llc_ev) = self.cha.writeback(
@@ -754,7 +672,7 @@ impl Machine {
                 &mut self.pmu.chas[0],
             );
             if let Some(e) = llc_ev {
-                self.evict_from_llc(e.line_addr, e.state, at);
+                self.evict_from_llc(e, at);
             }
         }
     }
@@ -905,7 +823,6 @@ impl Machine {
                 if let Some(l) = self.cores[c].l1d.lookup(line) {
                     l.state = LineState::Modified;
                 }
-                self.cha.sf.mark_dirty(line);
                 let d = ready_at.max(t) + self.cfg.l1d.hit_latency;
                 self.cores[c]
                     .truth
@@ -927,7 +844,6 @@ impl Machine {
                     t + self.cfg.l1d.tag_latency,
                 );
                 self.fill_l1(c, line, LineState::Modified, fin, t);
-                self.cha.sf.mark_dirty(line);
                 self.cores[c].cov_oro_demand_rfo.add(t, fin);
                 self.cores[c]
                     .truth
@@ -987,11 +903,15 @@ fn line_node(line: u64) -> MemNode {
 
 #[cfg(test)]
 mod tests {
+    use crate::cache::LineState;
     use crate::config::{MachineConfig, MemPolicy};
+    use crate::invariants::assert_invariants;
     use crate::machine::Machine;
-    use crate::mem::{MemNode, PAGE_SIZE};
-    use crate::trace::{SeqReadTrace, SeqRwTrace, Workload};
-    use pmu::{ChaEvent, CoreEvent, CxlEvent, ImcEvent, M2pEvent, TorDrdScen};
+    use crate::mem::{AddressSpace, MemNode, CACHELINE, PAGE_SIZE};
+    use crate::request::MemOp;
+    use crate::trace::{SeqReadTrace, SeqRwTrace, TraceSource, Workload};
+    use pmu::{ChaEvent, CoreEvent, CxlEvent, ImcEvent, M2pEvent, PathClass, TorDrdScen};
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
 
     fn run_one(policy: MemPolicy, ops: usize) -> (Machine, pmu::SystemSnapshot) {
         let mut m = Machine::new(MachineConfig::tiny());
@@ -1193,5 +1113,76 @@ mod tests {
             assert_eq!(a.raw(), b.raw());
         }
         assert_eq!(s1.pmu.chas[0].raw(), s2.pmu.chas[0].raw());
+    }
+
+    /// Endless seeded loads and stores (one in four) to random lines of a
+    /// region of `.1` lines.
+    struct RandomRw(StdRng, u64);
+
+    impl TraceSource for RandomRw {
+        fn next_op(&mut self) -> Option<MemOp> {
+            let vaddr = self.0.random_range(0..self.1) * CACHELINE as u64;
+            let op = if self.0.random_bool(0.25) {
+                MemOp::store
+            } else {
+                MemOp::load
+            };
+            Some(op(vaddr))
+        }
+
+        fn footprint(&self) -> usize {
+            self.1 as usize * CACHELINE
+        }
+    }
+
+    /// Cores 0 and 1 run `RandomRw` over one address space twice the LLC's
+    /// size, so the L2s and the LLC keep evicting; audits every epoch and
+    /// returns whether a line one core owned was in the other's L2 too.
+    fn shared_store_run(cfg: MachineConfig, seed: u64, epochs: u64) -> bool {
+        let lines = 2 * (cfg.llc.size_bytes / CACHELINE) as u64;
+        let mut m = Machine::new(cfg);
+        for c in 0..2 {
+            let trace = RandomRw(StdRng::seed_from_u64(seed + c as u64), lines);
+            m.attach(c, Workload::new("rw", Box::new(trace), MemPolicy::Local));
+        }
+        // Core 1 translates through core 0's address space.
+        let space = m.cores[0].workload.as_ref().unwrap().space.clone();
+        m.cores[1].workload.as_mut().unwrap().space = space;
+        let mut shared = false;
+        for _ in 0..epochs {
+            m.run_epoch();
+            assert_invariants(&m);
+            shared |= m.cha.owned_lines().any(|(line, owners)| {
+                let peer = usize::from(owners == 0b1);
+                m.cores[peer].l2.peek(line).is_some()
+            });
+        }
+        shared
+    }
+
+    #[test]
+    fn owner_bits_are_backed_by_the_owners_l2() {
+        assert!(shared_store_run(MachineConfig::tiny(), 1, 10));
+        assert!(shared_store_run(MachineConfig::tiny(), 2, 10));
+        // SPR's geometry over one default epoch, audited eight times.
+        let mut spr = MachineConfig::spr();
+        spr.epoch_cycles /= 8;
+        assert!(shared_store_run(spr, 1, 8));
+    }
+
+    #[test]
+    fn llc_store_hit_invalidates_the_peer_copy() {
+        let mut m = Machine::new(MachineConfig::tiny());
+        let paddr = AddressSpace::new(0, PAGE_SIZE, MemPolicy::Local, 0).translate(0);
+        let line = paddr.line();
+        m.do_load(0, paddr, false, PathClass::Drd);
+        assert!(m.cores[0].l1d.peek(line).is_some() && m.cha.owners(line) == 0b1);
+        m.do_store(1, paddr);
+        assert_eq!(m.pmu.chas[0].read(ChaEvent::LlcLookupHit), 1);
+        assert!(m.cores[0].l1d.peek(line).is_none());
+        assert!(m.cores[0].l2.peek(line).is_none());
+        assert_eq!(m.cha.owners(line), 0);
+        let state = m.cores[1].l1d.peek(line).map(|l| l.state);
+        assert_eq!(state, Some(LineState::Modified));
     }
 }

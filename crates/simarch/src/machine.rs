@@ -621,6 +621,20 @@ impl Invariants for Machine {
         for port in &self.ports {
             port.collect_violations(out);
         }
+        // Snoop-filter inclusion: an owner bit means that core's L2 holds
+        // the line, so the directory never outgrows the L2s.
+        for (line, owners) in self.cha.owned_lines() {
+            let unbacked = (0..64)
+                .filter(|&o| owners >> o & 1 == 1)
+                .filter(|&o| self.cores.get(o).is_none_or(|c| c.l2.peek(line).is_none()))
+                .fold(0u64, |m, o| m | 1 << o);
+            invariant!(
+                out,
+                self.component(),
+                unbacked == 0,
+                "line {line:#x}: owners {owners:#b}, cores {unbacked:#b} lack it in L2"
+            );
+        }
         for (i, core) in self.cores.iter().enumerate() {
             invariant!(
                 out,

@@ -101,4 +101,9 @@ run cargo run --release -p obs --bin obs_validate -- --prom \
 run cargo run --release -p obs --bin obs_validate -- \
     "$obs_out/fleet_timings.json" fleet.round fleet.shard_round
 
+# Golden gate (EXPERIMENTS.md): every figure binary reruns at full size
+# and all CSVs under crates/bench/out, plus the captured stdout in
+# all_figures.txt, must regenerate byte-identical to the committed files.
+run scripts/refresh_goldens.sh
+
 echo "tier1: all gates passed"
