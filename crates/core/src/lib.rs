@@ -59,5 +59,5 @@ pub use analyzer::{
 pub use builder::{PathMap, PfBuilder};
 pub use estimator::{PfEstimator, StallBreakdown};
 pub use materializer::Materializer;
-pub use model::{Component, LatencyModel, MFlow, PathGroup, SystemModel};
+pub use model::{Component, LatencyModel, PathGroup};
 pub use profiler::{ProfileSpec, Profiler, Report};

@@ -48,18 +48,17 @@ impl Materializer {
         {
             return;
         }
-        let dummy = self.db.series_handle("path_set", &[], &[]);
-        let mut path_set = vec![[[dummy; PathGroup::COUNT]; HitLevel::COUNT]; cores];
+        let mut path_set = Vec::with_capacity(cores);
         let mut progress = Vec::with_capacity(cores);
-        for (core, row) in path_set.iter_mut().enumerate() {
+        for core in 0..cores {
             let core_s = core.to_string();
             let app = apps
                 .get(core)
                 .and_then(|a| a.as_deref())
                 .unwrap_or_default();
-            for l in HitLevel::ALL {
-                for p in PathGroup::ALL {
-                    row[l.idx()][p.idx()] = self.db.series_handle(
+            path_set.push(HitLevel::ALL.map(|l| {
+                PathGroup::ALL.map(|p| {
+                    self.db.series_handle(
                         "path_set",
                         &[
                             ("core", &core_s),
@@ -68,9 +67,9 @@ impl Materializer {
                             ("dst", l.label()),
                         ],
                         &["hits"],
-                    );
-                }
-            }
+                    )
+                })
+            }));
             progress.push(self.db.series_handle(
                 "app",
                 &[("core", &core_s), ("app", app)],
@@ -112,18 +111,15 @@ impl Materializer {
     // pflint::hot
     pub fn ingest_queues(&mut self, ts: u64, q: &crate::analyzer::QueueEstimate) {
         if self.vertex_handles.is_none() {
-            let dummy = self.db.series_handle("vertex", &[], &[]);
-            let mut grid = [[dummy; Component::COUNT]; PathGroup::COUNT];
-            for p in PathGroup::ALL {
-                for c in Component::ALL {
-                    grid[p.idx()][c.idx()] = self.db.series_handle(
+            self.vertex_handles = Some(PathGroup::ALL.map(|p| {
+                Component::ALL.map(|c| {
+                    self.db.series_handle(
                         "vertex",
                         &[("path", p.label()), ("hw", c.label())],
                         &["queue"],
-                    );
-                }
-            }
-            self.vertex_handles = Some(grid);
+                    )
+                })
+            }));
         }
         let Materializer {
             db, vertex_handles, ..

@@ -6,8 +6,6 @@
 //! destination. The profiler's three report dimensions — component, path
 //! group, destination — are all defined here.
 
-use simarch::MemNode;
-
 /// The architectural components (Clos stages) PathFinder reports on — the
 /// seven/eight stations of Figure 6 plus the request origin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -180,23 +178,6 @@ impl HitLevel {
     }
 }
 
-/// A memory flow: `Core_i ↔ DIMM_j` (§4.2). Application-dependent,
-/// location-sensitive, bidirectional; an application has at most
-/// `cores × dimms` of them.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MFlow {
-    pub core: usize,
-    pub dimm: MemNode,
-    /// Workload label the flow belongs to.
-    pub app: String,
-}
-
-impl MFlow {
-    pub fn label(&self) -> String {
-        format!("{}:core{}<->{}", self.app, self.core, self.dimm.label())
-    }
-}
-
 /// Platform latency constants the analyzer/estimator need (the `W_hit` and
 /// `W_tag` values of §4.5, which on real hardware come from the data sheet).
 #[derive(Clone, Copy, Debug)]
@@ -238,60 +219,21 @@ impl LatencyModel {
     }
 }
 
-/// The Clos-network system model: stages and the modules at each stage.
-/// Mostly descriptive — the techniques consume counters directly — but the
-/// report renderer uses it to label topology, and tests assert the
-/// structural invariants of §4.2.
-#[derive(Clone, Debug)]
-pub struct SystemModel {
-    pub cores: usize,
-    pub llc_slices: usize,
-    pub dram_channels: usize,
-    pub cxl_devices: usize,
-}
-
-impl SystemModel {
-    pub fn from_config(cfg: &simarch::MachineConfig) -> Self {
-        SystemModel {
-            cores: cfg.cores,
-            llc_slices: cfg.llc_slices,
-            dram_channels: cfg.dram_channels,
-            cxl_devices: cfg.cxl_devices,
-        }
-    }
-
-    /// All possible mFlows for an application pinned to `core`:
-    /// one per reachable DIMM.
-    pub fn mflows_for(&self, core: usize, app: &str) -> Vec<MFlow> {
-        let mut v = vec![MFlow {
-            core,
-            dimm: MemNode::LocalDram,
-            app: app.into(),
-        }];
-        for d in 0..self.cxl_devices {
-            v.push(MFlow {
-                core,
-                dimm: MemNode::CxlDram(d as u8),
-                app: app.into(),
-            });
-        }
-        v
-    }
-
-    /// Upper bound on concurrent mFlows (§4.2: `Core# × DIMM#`).
-    pub fn max_mflows(&self) -> usize {
-        self.cores * (1 + self.cxl_devices)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn component_indices_are_dense() {
+        // The materializer's handle grids index by position in `ALL`.
         for (i, c) in Component::ALL.iter().enumerate() {
             assert_eq!(c.idx(), i);
+        }
+        for (i, l) in HitLevel::ALL.iter().enumerate() {
+            assert_eq!(l.idx(), i);
+        }
+        for (i, p) in PathGroup::ALL.iter().enumerate() {
+            assert_eq!(p.idx(), i);
         }
     }
 
@@ -310,32 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn mflow_bound_matches_paper() {
-        let m = SystemModel {
-            cores: 4,
-            llc_slices: 4,
-            dram_channels: 2,
-            cxl_devices: 2,
-        };
-        assert_eq!(m.max_mflows(), 12);
-        assert_eq!(m.mflows_for(0, "app").len(), 3);
-    }
-
-    #[test]
     fn latency_model_tracks_config() {
         let lm = LatencyModel::spr();
         let cfg = simarch::MachineConfig::spr();
         assert_eq!(lm.l2_hit, cfg.l2.hit_latency as f64);
         assert!(lm.l1_tag < lm.l1_hit);
-    }
-
-    #[test]
-    fn mflow_label_is_descriptive() {
-        let f = MFlow {
-            core: 3,
-            dimm: MemNode::CxlDram(0),
-            app: "gups".into(),
-        };
-        assert_eq!(f.label(), "gups:core3<->cxl0");
     }
 }

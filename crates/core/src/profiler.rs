@@ -16,7 +16,7 @@ use crate::analyzer::{
 use crate::builder::{PathMap, PfBuilder};
 use crate::estimator::{PfEstimator, StallBreakdown};
 use crate::materializer::Materializer;
-use crate::model::{Component, LatencyModel, PathGroup, SystemModel};
+use crate::model::{Component, LatencyModel, PathGroup};
 use pmu::{SystemDelta, SystemSnapshot};
 use simarch::Machine;
 
@@ -186,7 +186,6 @@ pub struct Profiler {
     machine: Machine,
     spec: ProfileSpec,
     lat: LatencyModel,
-    model: SystemModel,
     prev: SystemSnapshot,
     pub materializer: Materializer,
     cum_map: Option<PathMap>,
@@ -210,14 +209,12 @@ pub struct Profiler {
 impl Profiler {
     pub fn new(machine: Machine, spec: ProfileSpec) -> Profiler {
         let lat = LatencyModel::from_config(machine.config());
-        let model = SystemModel::from_config(machine.config());
         let prev = machine.pmu.snapshot(machine.now());
         let cores = machine.config().cores;
         Profiler {
             machine,
             spec,
             lat,
-            model,
             prev,
             materializer: Materializer::new(),
             cum_map: None,
@@ -243,11 +240,6 @@ impl Profiler {
 
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The Clos system model of the profiled machine.
-    pub fn system_model(&self) -> &SystemModel {
-        &self.model
     }
 
     /// Arm per-epoch anomaly diagnosis against a recorded healthy

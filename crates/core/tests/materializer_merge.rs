@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use pathfinder::model::{HitLevel, PathGroup};
 use pathfinder::Materializer;
 use proptest::prelude::*;
-use tsdb::{tsa, Db, Point};
+use tsdb::{tsa, Db};
 
 /// The hit levels the generated records land on: two, so each scope
 /// gathers many rows.
@@ -38,21 +38,19 @@ fn apply(db: &mut Db, cores: usize, op: (u8, u8, u8, u8, u64, u64)) {
         0..=4 => {
             let path = PathGroup::ALL[sel as usize % PathGroup::COUNT];
             let level = LEVELS[sel as usize / PathGroup::COUNT % LEVELS.len()];
-            db.insert(
-                Point::new("path_set", ts)
-                    .tag("core", core)
-                    .tag("app", app)
-                    .tag("path", path.label())
-                    .tag("dst", level.label())
-                    .field("hits", value(raw)),
-            );
+            let tags = [
+                ("core", core.as_str()),
+                ("app", app.as_str()),
+                ("path", path.label()),
+                ("dst", level.label()),
+            ];
+            let id = db.series_handle("path_set", &tags, &["hits"]);
+            db.ingest(id, ts, &[value(raw)]);
         }
-        5 | 6 => db.insert(
-            Point::new("app", ts)
-                .tag("core", core)
-                .tag("app", app)
-                .field("ops", value(raw)),
-        ),
+        5 | 6 => {
+            let id = db.series_handle("app", &[("core", &core), ("app", &app)], &["ops"]);
+            db.ingest(id, ts, &[value(raw)]);
+        }
         _ => {
             let measurement = if sel % 2 == 0 { "path_set" } else { "app" };
             db.delete_range(measurement, ts, ts + raw % 12);

@@ -7,10 +7,10 @@
 //! shard. Each shard is a long-lived worker thread that owns its
 //! [`HostSim`]s outright plus a private columnar [`tsdb::Db`] — no shared
 //! mutable simulation state, so a round is pure message passing: the
-//! coordinator broadcasts [`Cmd::Round`], every worker advances its hosts
+//! coordinator broadcasts `Cmd::Round`, every worker advances its hosts
 //! by the epoch budget, ingests one row per host through the
 //! allocation-free `series_handle`/`ingest` path, and sends back a
-//! [`ShardReport`] with its partial aggregates. The coordinator merges
+//! `ShardReport` with its partial aggregates. The coordinator merges
 //! reports, publishes a [`FleetSnapshot`] for the scrape endpoint behind
 //! [`SharedState`], and emits the daemon's `obs` self-metrics.
 //!

@@ -6,7 +6,7 @@
 //! telemetry *about the profiler*, kept strictly apart from the telemetry
 //! the profiler produces about the machine. This crate is that layer:
 //!
-//! * [`span`] — RAII phase tracing: `let _s = obs::span!("epoch.machine");`
+//! * [`mod@span`] — RAII phase tracing: `let _s = obs::span!("epoch.machine");`
 //!   records nested wall time into a process-wide, thread-safe recorder.
 //! * [`metrics`] — named counters, gauges, and fixed-bucket histograms
 //!   (p50/p95/p99) for profiler-internal quantities.

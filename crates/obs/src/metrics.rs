@@ -175,11 +175,6 @@ pub fn counter_value(name: &str) -> u64 {
     with_registry(|r| r.counters.get(name).copied().unwrap_or(0))
 }
 
-/// Current gauge value, if ever set.
-pub fn gauge_value(name: &str) -> Option<f64> {
-    with_registry(|r| r.gauges.get(name).copied())
-}
-
 /// Summary of one histogram, if any samples were recorded.
 pub fn histogram_snapshot(name: &str) -> Option<HistSnapshot> {
     with_registry(|r| r.hists.get(name).map(Histogram::snapshot))

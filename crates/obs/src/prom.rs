@@ -296,7 +296,7 @@ fn family_of<'a>(name: &'a str, types: &BTreeMap<String, String>) -> &'a str {
 /// * every sample name (and family name) is in `pathfinder_` mangled form;
 /// * every sample is preceded by its family's `# TYPE` line;
 /// * every label set parses as `name="value"` pairs with only the three
-///   legal escapes (`\\`, `\"`, `\n`) — see [`parse_labels`];
+///   legal escapes (`\\`, `\"`, `\n`) — see `parse_labels`;
 /// * no (name, label-set) pair appears twice, where identity is the
 ///   *parsed* label set (label order does not make two samples distinct);
 /// * every value parses as a float;

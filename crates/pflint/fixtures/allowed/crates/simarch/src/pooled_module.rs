@@ -1,11 +1,4 @@
-//! The pooled-device shape stays clean: the per-host counter list goes
-//! through `registered`, which debug-asserts every name against
-//! pmu::registry, and the shared-MC state carries an Invariants hook.
-
-impl crate::module::SimModule for PooledModule {
-    fn counters(&self) -> &'static [&'static str] {
-        crate::module::registered(&["unc_pool_mc_rd_cas.host"])
-    }
-}
+//! The pooled-device shape stays clean: the shared-MC state carries an
+//! Invariants hook.
 
 impl crate::invariants::Invariants for PooledModule {}

@@ -16,17 +16,13 @@
 //! inside strings can never produce phantom findings or desynchronized
 //! body extraction.
 //!
-//! Four analyses:
+//! Three analyses:
 //!
 //! 1. **Invariant-hook verification** ([`run_invariant_hooks`]): every
 //!    `simarch` module declaring a queue-bearing field (`FifoServer`,
 //!    `Coverage`, `BoundedWindow`) must register an `impl Invariants for`
 //!    hook, so the epoch-boundary conservation audit covers all flows.
-//! 2. **Module counter registration** ([`run_module_registration`]): every
-//!    `impl SimModule for` in `simarch` must route its `counters()` list
-//!    through `crate::module::registered`, which pins each advertised name
-//!    to the `pmu` registry.
-//! 3. **Hot-path allocations** ([`run_hot_path_alloc`]): any function
+//! 2. **Hot-path allocations** ([`run_hot_path_alloc`]): any function
 //!    annotated with a standalone `// pflint::hot` comment must stay free
 //!    of string/Vec-growth allocations — the static side of the
 //!    allocation-free steady-state guarantee (PERFORMANCE.md) — and of
@@ -34,7 +30,7 @@
 //!    per call (OBSERVABILITY.md: no obs call below epoch granularity).
 //!    A `// pflint::hot` comment that does not precede a function is a
 //!    finding too.
-//! 4. **Panic freedom** ([`run_panic_freedom`]): service-facing modules
+//! 3. **Panic freedom** ([`run_panic_freedom`]): service-facing modules
 //!    (the fleetd daemon surface and `crates/obs/src`) must not contain
 //!    release `assert!`s, unchecked indexing, or division by a
 //!    non-literal divisor.
@@ -60,7 +56,6 @@ use source::{contains_word, SourceFile};
 pub mod rules {
     //! Stable rule identifiers, usable in `pflint::allow(...)` comments.
     pub const INVARIANT_HOOK_MISSING: &str = "invariant-hook-missing";
-    pub const MODULE_COUNTER_REGISTRATION: &str = "module-counter-registration";
     pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
     pub const PANIC_FREEDOM: &str = "panic-freedom";
 }
@@ -227,59 +222,7 @@ pub fn run_invariant_hooks(root: &Path) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// Analysis 2: module counter registration
-// ---------------------------------------------------------------------
-
-/// Directory whose `SimModule` implementations are audited.
-pub const MODULE_SCAN_ROOT: &str = "crates/simarch/src";
-
-/// Verify that every `impl SimModule for` under [`MODULE_SCAN_ROOT`] routes
-/// its counter list through `crate::module::registered`, which debug-asserts
-/// each name against `pmu::registry`. A module returning a hand-written
-/// slice would silently drift from the registry the moment a counter is
-/// renamed; the `registered` choke point turns that into a test failure.
-pub fn run_module_registration(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in rust_files(&root.join(MODULE_SCAN_ROOT)) {
-        let Ok(src) = SourceFile::load(&file) else {
-            continue;
-        };
-        let mut first_impl: Option<usize> = None;
-        let mut has_registration = false;
-        for (idx, line) in src.lines.iter().enumerate() {
-            if src.is_test_line(idx) {
-                continue;
-            }
-            if line.contains("registered(") {
-                has_registration = true;
-            }
-            if first_impl.is_none()
-                && (line.contains("impl SimModule for")
-                    || line.contains("impl crate::module::SimModule for"))
-                && !src.is_suppressed(idx, rules::MODULE_COUNTER_REGISTRATION)
-            {
-                first_impl = Some(idx + 1);
-            }
-        }
-        if let Some(line) = first_impl {
-            if !has_registration {
-                findings.push(Finding {
-                    rule: rules::MODULE_COUNTER_REGISTRATION,
-                    file: file.clone(),
-                    line,
-                    message: "`impl SimModule` must route `counters()` through \
-                              `crate::module::registered` so the names stay \
-                              pinned to pmu::registry"
-                        .to_string(),
-                });
-            }
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// Analysis 3: hot-path allocations
+// Analysis 2: hot-path allocations
 // ---------------------------------------------------------------------
 
 /// (needle, advice) — calls forbidden inside a `// pflint::hot` body.
@@ -397,7 +340,7 @@ pub fn run_hot_path_alloc(root: &Path) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// Analysis 4: panic freedom
+// Analysis 3: panic freedom
 // ---------------------------------------------------------------------
 
 /// Service-facing roots that must stay panic-free: the observability
@@ -493,7 +436,6 @@ pub fn run_panic_freedom(root: &Path) -> Vec<Finding> {
 /// message.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut findings = run_invariant_hooks(root);
-    findings.extend(run_module_registration(root));
     findings.extend(run_hot_path_alloc(root));
     findings.extend(run_panic_freedom(root));
     findings.sort_by(|a, b| {

@@ -43,8 +43,8 @@ fn main() -> ExitCode {
     }
     if findings.is_empty() {
         println!(
-            "pflint: clean — invariant hooks, module counter registration, hot-path \
-             allocations, and panic freedom all pass"
+            "pflint: clean — invariant hooks, hot-path allocations, and panic \
+             freedom all pass"
         );
         ExitCode::SUCCESS
     } else {

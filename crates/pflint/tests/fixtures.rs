@@ -54,29 +54,6 @@ fn bad_fixtures_trip_invariant_hook_check() {
 }
 
 #[test]
-fn bad_fixtures_trip_module_registration() {
-    let findings = pflint::run_module_registration(&fixture_root("bad"));
-    assert_found(
-        &findings,
-        rules::MODULE_COUNTER_REGISTRATION,
-        "rogue_module.rs",
-        5,
-    );
-    // The fabric switch stage is audited like any other SimModule.
-    assert_found(
-        &findings,
-        rules::MODULE_COUNTER_REGISTRATION,
-        "rogue_switch.rs",
-        5,
-    );
-    assert_eq!(
-        findings.len(),
-        2,
-        "exactly two unregistered modules seeded: {findings:?}"
-    );
-}
-
-#[test]
 fn bad_fixtures_trip_hot_path_alloc() {
     let findings = pflint::run_hot_path_alloc(&fixture_root("bad"));
     // Annotated materializer bodies.

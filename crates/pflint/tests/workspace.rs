@@ -29,7 +29,7 @@ fn workspace_is_lint_clean() {
 #[test]
 fn every_configured_path_exists() {
     let root = workspace_root();
-    let mut paths = vec![pflint::INVARIANT_SCAN_ROOT, pflint::MODULE_SCAN_ROOT];
+    let mut paths = vec![pflint::INVARIANT_SCAN_ROOT];
     paths.extend_from_slice(pflint::PANIC_FREEDOM_ROOTS);
     let missing: Vec<&str> = paths
         .into_iter()

@@ -77,11 +77,6 @@ impl PathClass {
         }
     }
 
-    /// True for the read-like classes that produce CXL.mem loads.
-    pub fn is_load_like(self) -> bool {
-        !matches!(self, PathClass::Dwr)
-    }
-
     /// Collapse to the paper's four-way report grouping (DRd/DWr/RFO/HWPF);
     /// SWPF merges into DRd after missing L1D (§2.2, path #4 note).
     pub fn report_group(self) -> PathClass {

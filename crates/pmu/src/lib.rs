@@ -20,14 +20,12 @@
 //! * [`bank`] — a fixed-size counter file ([`bank::Bank`]) per module.
 //! * [`system`] — the whole-machine counter file ([`system::SystemPmu`]) and
 //!   snapshot/delta machinery used by the profiler at epoch boundaries.
-//! * [`sampling`] — overflow-threshold sampling mode (§3.1 of the paper).
 //! * [`registry`] — a human-readable registry of every event with its
 //!   description, used by the CLI to enumerate capabilities.
 
 pub mod bank;
 pub mod event;
 pub mod registry;
-pub mod sampling;
 pub mod system;
 
 pub use bank::Bank;

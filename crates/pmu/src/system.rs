@@ -250,16 +250,6 @@ impl SystemDelta {
     pub fn cxl_sum(&self, ev: CxlEvent) -> u64 {
         self.pmu.cxls.iter().map(|b| b.read(ev)).sum()
     }
-
-    /// Sum of a switch event across all upstream ports.
-    pub fn switch_sum(&self, ev: SwitchEvent) -> u64 {
-        self.pmu.switches.iter().map(|b| b.read(ev)).sum()
-    }
-
-    /// Sum of a pooled-device event across all tenant hosts.
-    pub fn pool_sum(&self, ev: PoolEvent) -> u64 {
-        self.pmu.pools.iter().map(|b| b.read(ev)).sum()
-    }
 }
 
 #[cfg(test)]

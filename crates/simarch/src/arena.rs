@@ -98,12 +98,6 @@ impl<V: Copy + Default> LineMap<V> {
 
     // pflint::hot
     #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        self.find(key).map(|i| &mut self.vals[i])
-    }
-
-    // pflint::hot
-    #[inline]
     pub fn contains_key(&self, key: u64) -> bool {
         self.find(key).is_some()
     }
@@ -168,34 +162,6 @@ impl<V: Copy + Default> LineMap<V> {
             }
         }
         self.keys[i] = EMPTY;
-    }
-
-    /// Keep only entries for which `f(key, value)` holds. Iteration order
-    /// is unspecified; the predicate must be order-independent (it is for
-    /// every caller: completion-time sweeps).
-    pub fn retain(&mut self, mut f: impl FnMut(u64, V) -> bool) {
-        let mut i = 0;
-        while i < self.keys.len() {
-            let k = self.keys[i];
-            if k != EMPTY && !f(k, self.vals[i]) {
-                // After the backward shift a surviving entry may land in
-                // slot `i`; re-examine it before moving on. Entries can
-                // only move backward, so each is visited at least once.
-                self.delete_slot(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Visit every `(key, value)` pair in unspecified order (invariant
-    /// audits only — never on a path that feeds counters).
-    pub fn for_each(&self, mut f: impl FnMut(u64, V)) {
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k != EMPTY {
-                f(k, self.vals[i]);
-            }
-        }
     }
 
     fn grow(&mut self) {
@@ -421,15 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn map_get_mut_updates_in_place() {
-        let mut m: LineMap<u64> = LineMap::new();
-        m.insert(3, 1);
-        *m.get_mut(3).unwrap() += 41;
-        assert_eq!(m.get(3), Some(42));
-        assert!(m.get_mut(4).is_none());
-    }
-
-    #[test]
     fn map_survives_growth_and_collisions() {
         let mut m: LineMap<u64> = LineMap::with_capacity(16);
         // Streaming keys + a colliding arithmetic series, well past the
@@ -457,17 +414,6 @@ mod tests {
             assert_eq!(m.get(k), Some(k), "key {k}");
         }
         assert_eq!(m.len(), 6);
-    }
-
-    #[test]
-    fn map_retain_examines_every_entry() {
-        let mut m: LineMap<u64> = LineMap::with_capacity(16);
-        for k in 0..200u64 {
-            m.insert(k + 1, k % 5);
-        }
-        m.retain(|_, v| v != 2);
-        assert_eq!(m.len(), 160);
-        m.for_each(|_, v| assert_ne!(v, 2));
     }
 
     #[test]

@@ -370,20 +370,6 @@ impl crate::module::SimModule for ChaComplex {
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         self.sync_counters(&mut pmu.chas[0], epoch_cycles);
     }
-
-    fn counters(&self) -> &'static [&'static str] {
-        crate::module::registered(&[
-            "unc_cha_clockticks",
-            "unc_cha_llc_lookup.hit",
-            "unc_cha_llc_lookup.miss",
-            "unc_cha_sf_lookup.hit",
-            "unc_cha_sf_lookup.miss",
-            "unc_cha_sf_eviction",
-            "unc_cha_snoop_resp.hitm",
-            "unc_cha_snoop_resp.hit",
-            "unc_cha_snoop_resp.miss",
-        ])
-    }
 }
 
 impl Invariants for ChaComplex {

@@ -311,24 +311,6 @@ impl crate::module::SimModule for CoreState {
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         self.sync_counters(&mut pmu.cores[self.id], epoch_cycles);
     }
-
-    fn counters(&self) -> &'static [&'static str] {
-        crate::module::registered(&[
-            "cpu_clk_unhalted.thread",
-            "inst_retired.any",
-            "mem_load_retired.l1_hit",
-            "mem_load_retired.l1_miss",
-            "mem_load_retired.l2_miss",
-            "l2_rqsts.references",
-            "l2_rqsts.miss",
-            "offcore_requests.all_requests",
-            "l1d_pend_miss.fb_full",
-            "resource_stalls.sb",
-            "cycle_activity.cycles_l1d_miss",
-            "cycle_activity.cycles_l2_miss",
-            "offcore_requests_outstanding.cycles_with_data_rd",
-        ])
-    }
 }
 
 impl Invariants for CoreState {

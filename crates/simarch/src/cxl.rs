@@ -367,23 +367,6 @@ impl crate::module::SimModule for CxlPort {
         let pmu::SystemPmu { m2ps, cxls, .. } = pmu;
         self.sync_counters(&mut m2ps[self.dev], &mut cxls[self.dev], epoch_cycles);
     }
-
-    fn counters(&self) -> &'static [&'static str] {
-        crate::module::registered(&[
-            "unc_m2p_clockticks",
-            "unc_m2p_rxc_inserts.all",
-            "unc_m2p_rxc_cycles_ne.all",
-            "unc_m2p_txc_inserts.ak",
-            "unc_m2p_txc_inserts.bl",
-            "unc_cxlcm_clockticks",
-            "unc_cxlcm_rxc_pack_buf_inserts.mem_req",
-            "unc_cxlcm_rxc_pack_buf_inserts.mem_data",
-            "unc_cxlcm_txc_pack_buf_inserts.mem_req",
-            "unc_cxlcm_txc_pack_buf_inserts.mem_data",
-            "unc_cxldev_mc_cas.rd",
-            "unc_cxldev_mc_cas.wr",
-        ])
-    }
 }
 
 impl Invariants for CxlPort {

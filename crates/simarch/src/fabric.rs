@@ -20,7 +20,6 @@
 use crate::config::MachineConfig;
 use crate::faults::{FaultClass, FaultPlan};
 use crate::machine::{EpochResult, Machine};
-use crate::module::Topology;
 use crate::pooled::PooledDevice;
 use crate::queues::FifoServer;
 use crate::request::HostId;
@@ -109,7 +108,6 @@ pub struct Fabric {
     prev: Vec<SystemSnapshot>,
     /// Fabric-level counters: `switches[h]` + `pools[h]` banks.
     pub pmu: SystemPmu,
-    topology: Topology,
     faults: FaultPlan,
     epochs_run: u64,
 }
@@ -142,7 +140,6 @@ impl Fabric {
                 .collect(),
             prev,
             pmu: SystemPmu::fabric(fcfg.hosts),
-            topology: Topology::fabric(&cfg, fcfg.hosts),
             faults: FaultPlan::new(),
             epochs_run: 0,
             hosts,
@@ -157,11 +154,6 @@ impl Fabric {
 
     pub fn fabric_config(&self) -> &FabricConfig {
         &self.fcfg
-    }
-
-    /// The full stage graph, hosts × pipeline + switch + pool.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     pub fn epochs_run(&self) -> u64 {

@@ -122,21 +122,6 @@ impl crate::module::SimModule for Imc {
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         self.sync_counters(&mut pmu.imcs, epoch_cycles);
     }
-
-    fn counters(&self) -> &'static [&'static str] {
-        crate::module::registered(&[
-            "unc_m_clockticks",
-            "unc_m_cas_count.all",
-            "unc_m_cas_count.rd",
-            "unc_m_cas_count.wr",
-            "unc_m_rpq_inserts",
-            "unc_m_wpq_inserts",
-            "unc_m_rpq_cycles_ne",
-            "unc_m_wpq_cycles_ne",
-            "unc_m_rpq_occupancy",
-            "unc_m_wpq_occupancy",
-        ])
-    }
 }
 
 impl Invariants for Imc {

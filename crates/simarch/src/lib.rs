@@ -61,7 +61,7 @@ pub use faults::{FaultClass, FaultPlan, FaultWindow};
 pub use invariants::{Invariants, Violation};
 pub use machine::{EpochResult, Machine, RunSummary, StallError};
 pub use mem::{MemNode, PhysAddr, CACHELINE, PAGE_SIZE};
-pub use module::{Edge, SimModule, StageId, StageKind, Topology};
+pub use module::{SimModule, StageId, StageKind};
 pub use pooled::PooledDevice;
 pub use remote::RemoteSocket;
 pub use request::{AccessKind, HostId, MemOp, ServeLoc};

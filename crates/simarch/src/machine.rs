@@ -2,9 +2,9 @@
 //!
 //! `Machine` composes the stage modules of Figure 1 — cores (SB/LFB/L1D/L2),
 //! the CHA complex, the IMC, the remote socket, and the CXL ports — behind
-//! the [`SimModule`] trait and a validated [`Topology`]. Each epoch steps
-//! the cores up to the boundary, earliest pending core first and lowest
-//! index on a tie (`Machine::step_until`), then walks the stage list in
+//! the [`SimModule`] trait. Each epoch steps the cores up to the boundary,
+//! earliest pending core first and lowest index on a tie
+//! (`Machine::step_until`), then walks the stage list (`stage_modules`) in
 //! ascending [`crate::module::StageId`] order, ticking and draining each
 //! module into the system PMU. The intra-epoch demand walk (what a load
 //! actually does between boundaries) lives in `datapath.rs`.
@@ -21,7 +21,7 @@ use crate::imc::Imc;
 use crate::invariant;
 use crate::invariants::{Invariants, Violation};
 use crate::mem::MemNode;
-use crate::module::{SimModule, StageId, StageKind, Topology};
+use crate::module::{SimModule, StageId, StageKind};
 use crate::remote::RemoteSocket;
 use crate::trace::Workload;
 use pmu::{SystemPmu, SystemSnapshot};
@@ -121,7 +121,6 @@ pub struct Machine {
     pub(crate) imc: Imc,
     pub(crate) remote: RemoteSocket,
     pub(crate) ports: Vec<CxlPort>,
-    topology: Topology,
     pub(crate) epoch_end: u64,
     epochs_run: u64,
     /// Unsorted per-epoch (asid, page) → count entries; duplicates are
@@ -160,7 +159,8 @@ pub struct Machine {
 }
 
 /// All stage modules in ascending stage-id (= drain) order, as trait
-/// objects. Split borrows so the caller keeps `pmu` free for draining.
+/// objects: the machine's one list of stages. Split borrows so the caller
+/// keeps `pmu` free for draining.
 fn stage_modules<'a>(
     cores: &'a mut [CoreState],
     cha: &'a mut ChaComplex,
@@ -196,7 +196,6 @@ impl Machine {
             ports: (0..cfg.cxl_devices)
                 .map(|d| CxlPort::new(&cfg, d))
                 .collect(),
-            topology: Topology::clos(&cfg),
             epoch_end: 0,
             epochs_run: 0,
             page_heat: Vec::new(),
@@ -248,21 +247,6 @@ impl Machine {
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// The stage graph this machine was built from.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Read-only view of every stage module, in drain order.
-    pub fn stages(&self) -> Vec<&dyn SimModule> {
-        let mut v: Vec<&dyn SimModule> = self.cores.iter().map(|c| c as &dyn SimModule).collect();
-        v.push(&self.cha);
-        v.push(&self.imc);
-        v.push(&self.remote);
-        v.extend(self.ports.iter().map(|p| p as &dyn SimModule));
-        v
     }
 
     /// Pin a workload to a core. Panics if the core is occupied or out of
@@ -345,11 +329,6 @@ impl Machine {
         self.faults = plan;
     }
 
-    /// The active fault schedule.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Reset every fault knob to its calibrated baseline, then apply the
     /// windows covering the upcoming epoch. Re-applying from scratch each
     /// epoch makes windows compose and expire without order dependence.
@@ -421,8 +400,8 @@ impl Machine {
     }
 
     /// Execute one scheduling epoch: run every core up to the next epoch
-    /// boundary, then tick + drain every stage of the topology in stage-id
-    /// order and snapshot all PMUs.
+    /// boundary, then tick + drain every stage in stage-id order and
+    /// snapshot all PMUs.
     pub fn run_epoch(&mut self) -> EpochResult {
         self.apply_faults_for_epoch();
         let end = self.epoch_end + self.cfg.epoch_cycles;
@@ -448,21 +427,13 @@ impl Machine {
                 remote,
                 ports,
                 pmu,
-                topology,
                 fault_dropout,
                 ..
             } = self;
-            // Stage-graph traversal: each module advances to the boundary
-            // and flushes its own banks. Stages touch disjoint state, so the
-            // walk order only has to be deterministic — and the topology's
-            // validated stage list pins it.
-            let mut expected = topology.stages().iter();
+            // Each module advances to the boundary and flushes its own
+            // banks. Stages touch disjoint state, so the walk order only has
+            // to be deterministic, and `stage_modules` pins it.
             for stage in stage_modules(cores, cha, imc, remote, ports) {
-                debug_assert_eq!(
-                    expected.next().copied(),
-                    Some(stage.stage_id()),
-                    "stage drain order must follow the topology"
-                );
                 let _m = obs::span!(stage.name());
                 stage.tick(end);
                 if fault_dropout.contains(&stage.stage_id()) {
@@ -475,10 +446,6 @@ impl Machine {
                     stage.drain(pmu, ec);
                 }
             }
-            debug_assert!(
-                expected.next().is_none(),
-                "topology lists stages the machine does not instantiate"
-            );
         }
         self.epoch_end = end;
         self.epochs_run += 1;
@@ -645,13 +612,6 @@ impl Invariants for Machine {
                 core.ops_executed
             );
         }
-        invariant!(
-            out,
-            self.component(),
-            self.topology.validate().is_ok(),
-            "stage topology failed validation: {:?}",
-            self.topology.validate()
-        );
         crate::conservation::pmu_conservation(self.host, &self.pmu, out);
     }
 }
@@ -719,28 +679,23 @@ mod tests {
     }
 
     #[test]
-    fn stage_list_matches_topology() {
-        let m = Machine::new(MachineConfig::tiny());
-        let ids: Vec<_> = m.stages().iter().map(|s| s.stage_id()).collect();
-        assert_eq!(ids, m.topology().stages());
-        // Drain order is strictly ascending — the determinism anchor.
-        for w in ids.windows(2) {
-            assert!(w[0] < w[1], "stage order must be strictly ascending");
-        }
-    }
-
-    #[test]
-    fn every_stage_counter_resolves_in_the_registry() {
-        let m = Machine::new(MachineConfig::tiny());
-        for stage in m.stages() {
-            for name in stage.counters() {
-                assert!(
-                    pmu::registry::lookup(name).is_some(),
-                    "{} advertises unknown counter {name}",
-                    stage.name()
-                );
-            }
-        }
+    fn stage_modules_drain_in_ascending_stage_id_order() {
+        let cfg = MachineConfig::tiny();
+        let mut m = Machine::new(cfg.clone());
+        let Machine {
+            cores,
+            cha,
+            imc,
+            remote,
+            ports,
+            ..
+        } = &mut m;
+        let ids: Vec<StageId> = stage_modules(cores, cha, imc, remote, ports)
+            .map(|s| s.stage_id())
+            .collect();
+        assert_eq!(ids.len(), cfg.cores + 3 + cfg.cxl_devices);
+        // Strictly ascending: the drain order is the determinism anchor.
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
     }
 
     #[test]

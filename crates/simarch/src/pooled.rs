@@ -117,17 +117,6 @@ impl crate::module::SimModule for PooledDevice {
             st.synced_excess = st.excess;
         }
     }
-
-    fn counters(&self) -> &'static [&'static str] {
-        crate::module::registered(&[
-            "unc_cxlpool_clockticks",
-            "unc_cxlpool_mc_cas.rd",
-            "unc_cxlpool_mc_cas.wr",
-            "unc_cxlpool_mc_occupancy.host",
-            "unc_cxlpool_mc_wait_cycles.host",
-            "unc_cxlpool_mc_excess_wait_cycles.host",
-        ])
-    }
 }
 
 impl Invariants for PooledDevice {

@@ -160,12 +160,6 @@ impl Coverage {
     pub fn total(&self) -> u64 {
         self.covered
     }
-
-    /// Covered cycles accumulated and reset baseline — used when the PMU is
-    /// read as a free-running counter (it is; we only ever add).
-    pub fn high_water(&self) -> u64 {
-        self.covered_until
-    }
 }
 
 impl Invariants for Coverage {

@@ -4,10 +4,10 @@
 //! `remote_latency + dram_latency` per access at a `remote_dram_gap` issue
 //! rate. Remote-socket counters are not exposed through this socket's PMU
 //! — exactly the visibility real per-socket PMUs give you — so the stage's
-//! [`SimModule::drain`] is a no-op and [`SimModule::counters`] is empty.
+//! [`SimModule::drain`] is a no-op.
 
 use crate::invariants::{Invariants, Violation};
-use crate::module::{registered, SimModule, StageId};
+use crate::module::{SimModule, StageId};
 use crate::queues::{FifoServer, Service};
 use pmu::SystemPmu;
 
@@ -51,10 +51,6 @@ impl SimModule for RemoteSocket {
         // The remote socket's PMU belongs to the other socket; nothing to
         // flush into this one.
     }
-
-    fn counters(&self) -> &'static [&'static str] {
-        registered(&[])
-    }
 }
 
 impl Invariants for RemoteSocket {
@@ -93,6 +89,5 @@ mod tests {
         for (a, b) in before.pmu.imcs.iter().zip(after.pmu.imcs.iter()) {
             assert_eq!(a.raw(), b.raw());
         }
-        assert!(r.counters().is_empty());
     }
 }

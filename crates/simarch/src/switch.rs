@@ -287,17 +287,6 @@ impl crate::module::SimModule for CxlSwitch {
             st.synced_busy = st.link_busy;
         }
     }
-
-    fn counters(&self) -> &'static [&'static str] {
-        crate::module::registered(&[
-            "unc_cxlsw_clockticks",
-            "unc_cxlsw_ingress_inserts.port",
-            "unc_cxlsw_ingress_occupancy.port",
-            "unc_cxlsw_arb_grants.port",
-            "unc_cxlsw_hol_blocked_cycles.port",
-            "unc_cxlsw_link_busy_cycles.port",
-        ])
-    }
 }
 
 impl Invariants for CxlSwitch {

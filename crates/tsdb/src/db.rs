@@ -1,26 +1,34 @@
 //! The store: interned, columnar series addressed by [`SeriesId`].
 //!
 //! A series is identified by (measurement, tag set) and holds its data as
-//! columns — one `Vec<u64>` of timestamps plus one `Vec<f64>` (with a
-//! presence flag per row) per field. All strings live in the [`Interner`];
-//! the steady-state ingest path ([`Db::ingest`]) works purely on resolved
-//! [`SeriesId`] handles and appends to columns, so it performs zero string
-//! formatting and zero map insertion per record. The row-oriented
-//! [`Point`] builder API ([`Db::insert`]) remains as a compatibility shim.
+//! columns: one `Vec<u64>` of timestamps plus one `Vec<f64>` per field.
+//! [`Db::series_handle`] creates a series and fixes its field columns;
+//! [`Db::ingest`] is the only way a row enters the store, so every row
+//! carries every column. The ingest path works purely on resolved
+//! [`SeriesId`] handles and appends to columns: zero string formatting
+//! and zero map insertion per record.
 //!
 //! Two memory numbers coexist on purpose (PERFORMANCE.md):
 //! * [`Db::footprint_bytes`] — the §5.9 *logical* accounting the profiler
-//!   reports (what the old row-oriented store would have retained). It is
-//!   maintained incrementally with the exact per-point arithmetic of
-//!   [`Point::retained_bytes`], so overhead lines and golden CSVs are
-//!   byte-identical across the storage migration.
+//!   reports: what a row-oriented store (one struct per row, owning its
+//!   measurement, tag map and field map) would retain. Every row of a
+//!   series costs the same, so it is one constant per series, fixed from
+//!   the measurement, tag and field lengths when the series is created.
 //! * [`Db::resident_bytes`] — actual heap bytes of the columnar layout.
 
 use std::collections::BTreeMap;
 
 use crate::intern::{Interner, Symbol};
-use crate::point::Point;
 use crate::query::Query;
+
+/// §5.9 logical bytes of one row outside its strings: the row struct (a
+/// `String` measurement, a `u64` timestamp and two `BTreeMap`s, as the
+/// row-oriented store laid it out on x86_64).
+const ROW_BYTES: usize = 80;
+/// §5.9 logical bytes of one tag entry outside its key and value text.
+const TAG_BYTES: usize = 48;
+/// §5.9 logical bytes of one field entry outside its name.
+const FIELD_BYTES: usize = 32;
 
 /// A resolved series handle: a dense index, stable for the lifetime of the
 /// `Db` (deletes empty a series but never invalidate its handle).
@@ -33,15 +41,11 @@ impl SeriesId {
     }
 }
 
-/// One field column: values aligned to the series' rows, with a presence
-/// flag per row (the builder API allows points to carry field subsets).
+/// One field column: one value per row of its series.
 #[derive(Debug)]
 struct FieldCol {
     name: Symbol,
-    /// Per-present-row logical bytes (§5.9 term: map node + key text).
-    logical_bytes: usize,
     values: Vec<f64>,
-    present: Vec<bool>,
 }
 
 /// One series: interned identity plus columnar data.
@@ -53,9 +57,9 @@ struct Series {
     /// Length of the canonical series key (footprint term for a live
     /// series).
     key_len: usize,
-    /// Per-row logical bytes independent of fields (§5.9 terms: the Point
-    /// struct, the measurement text, and the tag map nodes + text).
-    row_base_bytes: usize,
+    /// Logical bytes of one row (§5.9 terms: the row struct, the
+    /// measurement text, and the tag and field entries with their text).
+    row_bytes: usize,
     ts: Vec<u64>,
     cols: Vec<FieldCol>,
     /// False once a row arrived with a timestamp below its predecessor;
@@ -66,17 +70,6 @@ struct Series {
 impl Series {
     fn len(&self) -> usize {
         self.ts.len()
-    }
-
-    /// Logical bytes of row `i` (base + every field present on the row).
-    fn row_bytes(&self, i: usize) -> usize {
-        self.row_base_bytes
-            + self
-                .cols
-                .iter()
-                .filter(|c| c.present[i])
-                .map(|c| c.logical_bytes)
-                .sum::<usize>()
     }
 }
 
@@ -117,7 +110,7 @@ pub struct Db {
     index: BTreeMap<String, SeriesId>,
     points: usize,
     /// Logical retained bytes (§5.9), maintained incrementally on
-    /// insert/delete so overhead accounting is O(1), not a scan.
+    /// ingest/delete so overhead accounting is O(1), not a scan.
     retained: usize,
     /// Rows and first-row series [`Db::ingest`] stored since the last
     /// [`Db::publish_metrics`].
@@ -131,14 +124,16 @@ impl Db {
     }
 
     /// Resolve (creating if needed) the series for `measurement` + `tags`,
-    /// declaring its field columns. The returned handle stays valid for
-    /// the lifetime of the `Db` — resolve once, then [`Db::ingest`] each
-    /// epoch with no per-record string work at all.
+    /// with the field columns `fields`. The returned handle stays valid
+    /// for the lifetime of the `Db`: resolve once, then [`Db::ingest`]
+    /// each epoch with no per-record string work at all.
     ///
     /// `tags` may arrive in any order (they are canonicalised by key);
     /// `fields` fixes the column order that [`Db::ingest`] values follow.
-    /// A handle-created series is invisible (not scanned, not counted, no
-    /// footprint) until its first row arrives.
+    /// Columns are fixed when the series is created: resolving an
+    /// existing series with a different field list panics. A new series
+    /// is invisible (not scanned, not counted, no footprint) until its
+    /// first row arrives.
     pub fn series_handle(
         &mut self,
         measurement: &str,
@@ -154,65 +149,58 @@ impl Db {
             key.push('=');
             key.push_str(v);
         }
-        let id = match self.index.get(&key) {
-            Some(&id) => id,
-            None => {
-                use std::mem::size_of;
-                let m = self.interner.intern(measurement);
-                let tags: Vec<(Symbol, Symbol)> = sorted_tags
-                    .iter()
-                    .map(|&(k, v)| (self.interner.intern(k), self.interner.intern(v)))
-                    .collect();
-                let row_base_bytes = size_of::<Point>()
-                    + measurement.len()
-                    + sorted_tags
+        if let Some(&id) = self.index.get(&key) {
+            let cols = &self.series[id.index()].cols;
+            assert!(
+                cols.len() == fields.len()
+                    && cols
                         .iter()
-                        .map(|&(k, v)| size_of::<(String, String)>() + k.len() + v.len())
-                        .sum::<usize>();
-                assert!(self.series.len() < u32::MAX as usize, "series id overflow");
-                let id = SeriesId(self.series.len() as u32);
-                self.series.push(Series {
-                    measurement: m,
-                    tags,
-                    key_len: key.len(),
-                    row_base_bytes,
-                    ts: Vec::new(),
-                    cols: Vec::new(),
-                    sorted: true,
-                });
-                self.index.insert(key, id);
-                id
-            }
-        };
-        for f in fields {
-            self.ensure_col(id, f);
+                        .zip(fields)
+                        .all(|(c, f)| self.interner.lookup(f) == Some(c.name)),
+                "series {key} already exists with other field columns"
+            );
+            return id;
         }
+        let row_bytes = ROW_BYTES
+            + measurement.len()
+            + sorted_tags
+                .iter()
+                .map(|&(k, v)| TAG_BYTES + k.len() + v.len())
+                .sum::<usize>()
+            + fields.iter().map(|f| FIELD_BYTES + f.len()).sum::<usize>();
+        let m = self.interner.intern(measurement);
+        let tags: Vec<(Symbol, Symbol)> = sorted_tags
+            .iter()
+            .map(|&(k, v)| (self.interner.intern(k), self.interner.intern(v)))
+            .collect();
+        let cols = fields
+            .iter()
+            .map(|f| FieldCol {
+                name: self.interner.intern(f),
+                values: Vec::new(),
+            })
+            .collect();
+        assert!(self.series.len() < u32::MAX as usize, "series id overflow");
+        let id = SeriesId(self.series.len() as u32);
+        self.series.push(Series {
+            measurement: m,
+            tags,
+            key_len: key.len(),
+            row_bytes,
+            ts: Vec::new(),
+            cols,
+            sorted: true,
+        });
+        self.index.insert(key, id);
         id
     }
 
-    /// Ensure a column named `field` exists on `id`, back-filling absent
-    /// presence for any rows appended before the column was declared.
-    fn ensure_col(&mut self, id: SeriesId, field: &str) {
-        let sym = self.interner.intern(field);
-        let s = &mut self.series[id.index()];
-        if s.cols.iter().any(|c| c.name == sym) {
-            return;
-        }
-        let n = s.ts.len();
-        s.cols.push(FieldCol {
-            name: sym,
-            logical_bytes: std::mem::size_of::<(String, f64)>() + field.len(),
-            values: vec![0.0; n],
-            present: vec![false; n],
-        });
-    }
-
-    /// Append one record to a resolved series — the steady-state ingest
-    /// path. `values` follow the series' declared column order and must
-    /// cover every column (the batch API always writes full rows; mixed
-    /// schemas go through the [`Db::insert`] shim). Pure column appends:
-    /// no string formatting, no map insertion, no per-record allocation
-    /// once capacity is reserved ([`Db::reserve`]).
+    /// Append one row to a resolved series: the only way a row enters
+    /// the store. `values` follow the series' column order and must cover
+    /// every column. Pure column appends: no string formatting, no map
+    /// insertion, no per-record allocation once capacity is reserved
+    /// ([`Db::reserve`]). A timestamp below its predecessor is kept and
+    /// sorted lazily on query.
     // pflint::hot
     pub fn ingest(&mut self, id: SeriesId, ts: u64, values: &[f64]) {
         let s = &mut self.series[id.index()];
@@ -226,14 +214,11 @@ impl Db {
             s.sorted = false;
         }
         s.ts.push(ts);
-        let mut row_bytes = s.row_base_bytes;
         for (c, &v) in s.cols.iter_mut().zip(values) {
             c.values.push(v);
-            c.present.push(true);
-            row_bytes += c.logical_bytes;
         }
         self.points += 1;
-        self.retained += row_bytes;
+        self.retained += s.row_bytes;
         if was_empty {
             self.retained += s.key_len;
             self.unpublished_series += 1;
@@ -264,60 +249,7 @@ impl Db {
         s.ts.reserve(additional);
         for c in &mut s.cols {
             c.values.reserve(additional);
-            c.present.reserve(additional);
         }
-    }
-
-    /// Insert a row-oriented point — the compatibility shim over
-    /// [`Db::series_handle`] + column appends. Resolves the series key by
-    /// string (allocating), so per-epoch loops should cache handles and
-    /// call [`Db::ingest`] instead. Out-of-order timestamps within a
-    /// series are kept but sorted lazily on query.
-    pub fn insert(&mut self, point: Point) {
-        let bytes = point.retained_bytes();
-        let key = point.series_key();
-        let id = match self.index.get(&key) {
-            Some(&id) => id,
-            None => {
-                let tags: Vec<(&str, &str)> = point
-                    .tags
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                self.series_handle(&point.measurement, &tags, &[])
-            }
-        };
-        for f in point.fields.keys() {
-            self.ensure_col(id, f);
-        }
-        let Db {
-            interner, series, ..
-        } = self;
-        let s = &mut series[id.index()];
-        let was_empty = s.ts.is_empty();
-        if !was_empty && point.ts < s.ts[s.ts.len() - 1] {
-            s.sorted = false;
-        }
-        s.ts.push(point.ts);
-        for c in &mut s.cols {
-            match point.fields.get(interner.resolve(c.name)) {
-                Some(&v) => {
-                    c.values.push(v);
-                    c.present.push(true);
-                }
-                None => {
-                    c.values.push(0.0);
-                    c.present.push(false);
-                }
-            }
-        }
-        self.points += 1;
-        self.retained += bytes;
-        if was_empty {
-            self.retained += s.key_len;
-            obs::metrics::counter_add("tsdb.series", 1);
-        }
-        obs::metrics::counter_add("tsdb.points", 1);
     }
 
     /// Total points stored.
@@ -342,10 +274,12 @@ impl Db {
     }
 
     /// Logical retained bytes of the store (overhead accounting, §5.9):
-    /// every record's [`Point::retained_bytes`] plus the series keys,
-    /// maintained incrementally so this is O(1). This is deliberately the
-    /// *row-oriented* accounting the paper's overhead budget uses, not the
-    /// columnar heap — see [`Db::resident_bytes`] for that.
+    /// per row, 80 bytes plus the measurement text, 48 bytes plus the text
+    /// of each tag, and 32 bytes plus the name of each field; per live
+    /// series, its key. Maintained incrementally so this is O(1). This is
+    /// deliberately the *row-oriented* accounting the paper's overhead
+    /// budget uses, not the columnar heap — see [`Db::resident_bytes`]
+    /// for that.
     pub fn footprint_bytes(&self) -> usize {
         self.retained
     }
@@ -366,7 +300,6 @@ impl Db {
             bytes += s.cols.capacity() * size_of::<FieldCol>();
             for c in &s.cols {
                 bytes += c.values.capacity() * size_of::<f64>();
-                bytes += c.present.capacity();
             }
         }
         bytes
@@ -395,25 +328,22 @@ impl Db {
             let mut kept = 0usize;
             for i in 0..n {
                 let t = s.ts[i];
-                if t >= start && t < stop {
-                    removed += 1;
-                    freed += s.row_bytes(i);
-                } else {
+                if t < start || t >= stop {
                     if kept != i {
                         s.ts[kept] = t;
                         for c in s.cols.iter_mut() {
                             c.values[kept] = c.values[i];
-                            c.present[kept] = c.present[i];
                         }
                     }
                     kept += 1;
                 }
             }
             if kept != n {
+                removed += n - kept;
+                freed += (n - kept) * s.row_bytes;
                 s.ts.truncate(kept);
                 for c in s.cols.iter_mut() {
                     c.values.truncate(kept);
-                    c.present.truncate(kept);
                 }
                 if kept == 0 {
                     freed += s.key_len;
@@ -498,8 +428,8 @@ impl Db {
     }
 
     /// Append `(ts, value)` pairs of one series/field to `out`, in time
-    /// order; rows lacking the field are skipped. Returns true when
-    /// anything was appended.
+    /// order; a series without the field appends nothing. Returns true
+    /// when anything was appended.
     pub(crate) fn collect_values(
         &self,
         id: SeriesId,
@@ -512,40 +442,8 @@ impl Db {
             return false;
         };
         let before = out.len();
-        self.rows_in(id, range).for_each(|i| {
-            if col.present[i] {
-                out.push((s.ts[i], col.values[i]));
-            }
-        });
-        out.len() > before
-    }
-
-    /// Reconstruct one series' rows as [`Point`]s in time order, appended
-    /// to `out`. Returns true when anything was appended.
-    pub(crate) fn collect_points(
-        &self,
-        id: SeriesId,
-        range: Option<(u64, u64)>,
-        out: &mut Vec<Point>,
-    ) -> bool {
-        let s = &self.series[id.index()];
-        let before = out.len();
-        self.rows_in(id, range).for_each(|i| {
-            let mut p = Point::new(self.interner.resolve(s.measurement), s.ts[i]);
-            for &(k, v) in &s.tags {
-                p.tags.insert(
-                    self.interner.resolve(k).to_string(),
-                    self.interner.resolve(v).to_string(),
-                );
-            }
-            for c in &s.cols {
-                if c.present[i] {
-                    p.fields
-                        .insert(self.interner.resolve(c.name).to_string(), c.values[i]);
-                }
-            }
-            out.push(p);
-        });
+        self.rows_in(id, range)
+            .for_each(|i| out.push((s.ts[i], col.values[i])));
         out.len() > before
     }
 
@@ -561,22 +459,13 @@ mod tests {
 
     fn sample_db() -> Db {
         let mut db = Db::new();
+        let core0 = db.series_handle("path_set", &[("core", "0")], &["hits"]);
+        let core1 = db.series_handle("path_set", &[("core", "1")], &["hits"]);
+        let l2 = db.series_handle("vertex", &[("hw", "L2")], &["occ"]);
         for t in 0..10u64 {
-            db.insert(
-                Point::new("path_set", t * 100)
-                    .tag("core", "0")
-                    .field("hits", t as f64),
-            );
-            db.insert(
-                Point::new("path_set", t * 100)
-                    .tag("core", "1")
-                    .field("hits", 2.0 * t as f64),
-            );
-            db.insert(
-                Point::new("vertex", t * 100)
-                    .tag("hw", "L2")
-                    .field("occ", 1.0),
-            );
+            db.ingest(core0, t * 100, &[t as f64]);
+            db.ingest(core1, t * 100, &[2.0 * t as f64]);
+            db.ingest(l2, t * 100, &[1.0]);
         }
         db
     }
@@ -600,33 +489,44 @@ mod tests {
     fn footprint_is_positive_and_grows() {
         let mut db = Db::new();
         let f0 = db.footprint_bytes();
-        db.insert(Point::new("m", 0).field("x", 1.0));
+        let h = db.series_handle("m", &[], &["x"]);
+        db.ingest(h, 0, &[1.0]);
         assert!(db.footprint_bytes() > f0);
     }
 
     #[test]
-    fn handle_ingest_matches_point_insert_exactly() {
-        // The fast path and the shim must be observationally identical:
-        // same footprint arithmetic, same counts, same query answers.
-        let mut a = Db::new();
-        let mut b = Db::new();
-        let h = a.series_handle("path_set", &[("core", "0"), ("app", "fft")], &["hits"]);
-        for t in 0..50u64 {
-            a.ingest(h, t * 10, &[t as f64]);
-            b.insert(
-                Point::new("path_set", t * 10)
-                    .tag("core", "0")
-                    .tag("app", "fft")
-                    .field("hits", t as f64),
-            );
-        }
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.n_series(), b.n_series());
-        assert_eq!(a.footprint_bytes(), b.footprint_bytes());
-        assert_eq!(
-            a.from("path_set").filter("core", "0").values("hits"),
-            b.from("path_set").filter("core", "0").values("hits"),
-        );
+    fn footprint_follows_the_row_oriented_arithmetic() {
+        // Literals of the row-oriented store's §5.9 accounting. A row of
+        // (path_set, app=fft, core=0, hits) is 80 + 8 + (48 + 6) + (48 + 5)
+        // + (32 + 4) = 231 bytes; its key "path_set,app=fft,core=0" adds 23.
+        let mut db = Db::new();
+        let h = db.series_handle("path_set", &[("core", "0"), ("app", "fft")], &["hits"]);
+        db.ingest(h, 0, &[1.0]);
+        assert_eq!(db.footprint_bytes(), 254);
+        db.ingest(h, 10, &[2.0]);
+        assert_eq!(db.footprint_bytes(), 485);
+        let v = db.series_handle("vertex", &[("hw", "L2")], &["queue", "occ"]);
+        db.ingest(v, 0, &[1.0, 2.0]);
+        assert_eq!(db.footprint_bytes(), 707);
+        db.delete_range("path_set", 0, u64::MAX);
+        assert_eq!(db.footprint_bytes(), 222);
+    }
+
+    #[test]
+    #[should_panic(expected = "already exists with other field columns")]
+    fn a_second_field_list_for_a_series_panics() {
+        let mut db = Db::new();
+        db.series_handle("m", &[("core", "0")], &["x"]);
+        db.series_handle("m", &[("core", "0")], &["x", "y"]);
+    }
+
+    #[test]
+    fn distinct_tag_values_give_distinct_handles() {
+        let mut db = Db::new();
+        let a = db.series_handle("m", &[("core", "0")], &["x"]);
+        let b = db.series_handle("m", &[("core", "1")], &["x"]);
+        assert_ne!(a, b);
+        assert_eq!(db.series_handle("m", &[("core", "0")], &["x"]), a);
     }
 
     #[test]
@@ -691,18 +591,5 @@ mod tests {
             "resident {resident} vs logical {}",
             db.footprint_bytes()
         );
-    }
-
-    #[test]
-    fn mixed_field_schemas_round_trip_through_the_shim() {
-        let mut db = Db::new();
-        db.insert(Point::new("m", 1).field("x", 1.0));
-        db.insert(Point::new("m", 2).field("y", 9.0));
-        db.insert(Point::new("m", 3).field("x", 3.0).field("y", 4.0));
-        assert_eq!(db.from("m").values("x"), vec![(1, 1.0), (3, 3.0)]);
-        assert_eq!(db.from("m").values("y"), vec![(2, 9.0), (3, 4.0)]);
-        let pts = db.from("m").points();
-        assert_eq!(pts[0].fields.len(), 1);
-        assert_eq!(pts[2].fields.len(), 2);
     }
 }

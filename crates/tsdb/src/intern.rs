@@ -3,8 +3,8 @@
 //! Every measurement name, tag key, tag value, and field name the store
 //! ever sees is assigned one [`Symbol`] — a dense `u32` in first-seen
 //! order. The hot ingest path then works purely on symbols: no string
-//! formatting, no string hashing, no map probes. Resolution back to text
-//! happens only on the (cold) query side.
+//! formatting, no string hashing, no map probes. Queries only map text to
+//! symbols, so each string is stored once, as a key of the table.
 //!
 //! Determinism rules (PERFORMANCE.md):
 //! * ids are **insertion-ordered** — the same sequence of `intern` calls
@@ -14,40 +14,26 @@
 
 use std::collections::BTreeMap;
 
-/// An interned string: a dense index into the [`Interner`]'s table.
+/// An interned string: a dense id in first-seen order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Symbol(u32);
-
-impl Symbol {
-    /// The dense table index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
+pub(crate) struct Symbol(u32);
 
 /// A deterministic, insertion-ordered string table.
 #[derive(Debug, Default)]
-pub struct Interner {
-    /// text → symbol. BTreeMap: resolution cost is an ordered compare,
-    /// never a seed-dependent hash.
+pub(crate) struct Interner {
+    /// text → symbol. BTreeMap: lookup cost is an ordered compare, never a
+    /// seed-dependent hash.
     map: BTreeMap<String, Symbol>,
-    /// symbol index → text, in first-seen order.
-    strings: Vec<String>,
 }
 
 impl Interner {
-    pub fn new() -> Interner {
-        Interner::default()
-    }
-
     /// Intern `s`, assigning the next insertion-ordered id on first sight.
-    pub fn intern(&mut self, s: &str) -> Symbol {
+    pub(crate) fn intern(&mut self, s: &str) -> Symbol {
         if let Some(&sym) = self.map.get(s) {
             return sym;
         }
-        assert!(self.strings.len() < u32::MAX as usize, "symbol id overflow");
-        let sym = Symbol(self.strings.len() as u32);
-        self.strings.push(s.to_string());
+        assert!(self.map.len() < u32::MAX as usize, "symbol id overflow");
+        let sym = Symbol(self.map.len() as u32);
         self.map.insert(s.to_string(), sym);
         sym
     }
@@ -55,33 +41,18 @@ impl Interner {
     /// Resolve text to an existing symbol without interning. `None` means
     /// the store has never seen this string — queries use this to answer
     /// "no match" without mutating the table.
-    pub fn lookup(&self, s: &str) -> Option<Symbol> {
+    pub(crate) fn lookup(&self, s: &str) -> Option<Symbol> {
         self.map.get(s).copied()
     }
 
-    /// The text behind a symbol.
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
-    }
-
-    /// Distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// Actual heap bytes held by the table (both directions), for
+    /// Actual heap bytes held by the table, for
     /// [`crate::Db::resident_bytes`].
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.strings
-            .iter()
-            .map(|s| 2 * s.len() + size_of::<String>() + size_of::<(String, Symbol)>())
-            .sum::<usize>()
-            + self.strings.capacity() * size_of::<String>()
+        self.map
+            .keys()
+            .map(|s| s.len() + size_of::<(String, Symbol)>())
+            .sum()
     }
 }
 
@@ -91,35 +62,32 @@ mod tests {
 
     #[test]
     fn ids_are_insertion_ordered_and_stable() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let a = i.intern("path_set");
         let b = i.intern("core");
         let a2 = i.intern("path_set");
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
-        assert_eq!(i.resolve(a), "path_set");
-        assert_eq!(i.resolve(b), "core");
-        assert_eq!(i.len(), 2);
+        assert_eq!(a, Symbol(0));
+        assert_eq!(b, Symbol(1));
+        assert_eq!(i.map.len(), 2);
     }
 
     #[test]
     fn lookup_never_interns() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         assert!(i.lookup("missing").is_none());
-        assert!(i.is_empty());
+        assert!(i.map.is_empty());
         let s = i.intern("hit");
         assert_eq!(i.lookup("hit"), Some(s));
-        assert_eq!(i.len(), 1);
+        assert_eq!(i.map.len(), 1);
     }
 
     #[test]
     fn empty_string_is_a_valid_symbol() {
         // The profiler tags unlabelled cores with `app=""`.
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let e = i.intern("");
-        assert_eq!(i.resolve(e), "");
         assert_eq!(i.lookup(""), Some(e));
     }
 }

@@ -5,11 +5,11 @@
 //! time-series analysis". This crate is that substrate, self-contained:
 //!
 //! * [`db::Db`] — an interned, columnar store: series are addressed by
-//!   [`db::SeriesId`] handles, strings by [`intern::Symbol`]s, and data
-//!   lives in per-series timestamp/field columns. The steady-state ingest
-//!   path ([`db::Db::ingest`]) is allocation-free (see PERFORMANCE.md).
-//! * [`point::Point`] — the row-oriented builder record, kept as a thin
-//!   compatibility shim over the columnar store ([`db::Db::insert`]).
+//!   [`db::SeriesId`] handles, strings by interned symbols, and data lives
+//!   in per-series timestamp/field columns. [`db::Db::series_handle`]
+//!   creates a series with its columns; [`db::Db::ingest`], the one write
+//!   path, appends a full row and is allocation-free in steady state (see
+//!   PERFORMANCE.md).
 //! * [`query::Query`] — a small Flux-like builder
 //!   (`from("path_set").filter("path.dst","LLC").range(a,b)`).
 //! * [`ops`] — `min`/`max`/`mean`/`sum`/`moving_average`/`rate` operators.
@@ -20,13 +20,10 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod db;
-pub mod intern;
+mod intern;
 pub mod ops;
-pub mod point;
 pub mod query;
 pub mod tsa;
 
 pub use db::{Db, SeriesId};
-pub use intern::{Interner, Symbol};
-pub use point::Point;
 pub use query::Query;

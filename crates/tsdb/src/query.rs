@@ -6,9 +6,10 @@
 //! The equivalent here:
 //!
 //! ```
-//! use tsdb::{Db, Point};
+//! use tsdb::Db;
 //! let mut db = Db::new();
-//! db.insert(Point::new("path_set", 5).tag("pid", "7").tag("dst", "LLC").field("hits", 3.0));
+//! let h = db.series_handle("path_set", &[("pid", "7"), ("dst", "LLC")], &["hits"]);
+//! db.ingest(h, 5, &[3.0]);
 //! let series = db.from("path_set").filter("pid", "7").filter("dst", "LLC").values("hits");
 //! assert_eq!(series, vec![(5, 3.0)]);
 //! ```
@@ -19,11 +20,9 @@
 //! order — in-order series skip re-sorting entirely (binary-searched range
 //! bounds), out-of-order series fall back to a stable permutation. When
 //! more than one series contributes, a final stable sort merges them, so
-//! tied timestamps surface in series-key order exactly as the row store
-//! did.
+//! tied timestamps surface in series-key order.
 
 use crate::db::{Db, SeriesId};
-use crate::point::Point;
 
 /// A lazily-evaluated query over one measurement.
 pub struct Query<'a> {
@@ -61,25 +60,8 @@ impl<'a> Query<'a> {
             .matching_series(&self.measurement, &self.tag_filters)
     }
 
-    /// Materialise matching points, time-sorted.
-    pub fn points(self) -> Vec<Point> {
-        let _span = obs::span!("tsdb.query");
-        obs::metrics::counter_add("tsdb.queries", 1);
-        let mut out: Vec<Point> = Vec::new();
-        let mut contributing = 0usize;
-        for id in self.series() {
-            if self.db.collect_points(id, self.range, &mut out) {
-                contributing += 1;
-            }
-        }
-        if contributing > 1 {
-            out.sort_by_key(|p| p.ts);
-        }
-        out
-    }
-
-    /// Materialise one field as a `(ts, value)` series, time-sorted; points
-    /// lacking the field are skipped.
+    /// Materialise one field as a `(ts, value)` series, time-sorted;
+    /// series without the field contribute nothing.
     pub fn values(self, field: &str) -> Vec<(u64, f64)> {
         let _span = obs::span!("tsdb.query");
         obs::metrics::counter_add("tsdb.queries", 1);
@@ -116,13 +98,10 @@ mod tests {
 
     fn db() -> Db {
         let mut db = Db::new();
+        let odd = db.series_handle("path_set", &[("pid", "8"), ("dst", "LLC")], &["hits"]);
+        let even = db.series_handle("path_set", &[("pid", "7"), ("dst", "LLC")], &["hits"]);
         for t in 0..20u64 {
-            db.insert(
-                Point::new("path_set", t)
-                    .tag("pid", if t % 2 == 0 { "7" } else { "8" })
-                    .tag("dst", "LLC")
-                    .field("hits", t as f64),
-            );
+            db.ingest(if t % 2 == 0 { even } else { odd }, t, &[t as f64]);
         }
         db
     }
@@ -156,17 +135,18 @@ mod tests {
     #[test]
     fn range_is_half_open() {
         let d = db();
-        let pts = d.from("path_set").range(5, 10).points();
-        assert_eq!(pts.len(), 5);
-        assert!(pts.iter().all(|p| (5..10).contains(&p.ts)));
+        let rows = d.from("path_set").range(5, 10).values("hits");
+        assert_eq!(rows.len(), 5);
+        assert!(rows.iter().all(|&(ts, _)| (5..10).contains(&ts)));
     }
 
     #[test]
     fn values_are_time_sorted() {
         let mut d = Db::new();
-        d.insert(Point::new("m", 30).field("x", 3.0));
-        d.insert(Point::new("m", 10).field("x", 1.0));
-        d.insert(Point::new("m", 20).field("x", 2.0));
+        let h = d.series_handle("m", &[], &["x"]);
+        d.ingest(h, 30, &[3.0]);
+        d.ingest(h, 10, &[1.0]);
+        d.ingest(h, 20, &[2.0]);
         let v = d.from("m").values("x");
         assert_eq!(v, vec![(10, 1.0), (20, 2.0), (30, 3.0)]);
     }
@@ -177,31 +157,33 @@ mod tests {
         // of order must still answer every query shape in time order, and
         // tied timestamps must keep insertion order (stable sort).
         let mut d = Db::new();
-        d.insert(Point::new("m", 50).tag("core", "0").field("x", 5.0));
-        d.insert(Point::new("m", 10).tag("core", "0").field("x", 1.0));
-        d.insert(Point::new("m", 50).tag("core", "0").field("x", 5.5));
-        d.insert(Point::new("m", 30).tag("core", "0").field("x", 3.0));
+        let h = d.series_handle("m", &[("core", "0")], &["x"]);
+        d.ingest(h, 50, &[5.0]);
+        d.ingest(h, 10, &[1.0]);
+        d.ingest(h, 50, &[5.5]);
+        d.ingest(h, 30, &[3.0]);
         assert_eq!(
             d.from("m").values("x"),
             vec![(10, 1.0), (30, 3.0), (50, 5.0), (50, 5.5)]
         );
         assert_eq!(d.from("m").range(10, 50).count(), 2);
-        let pts = d.from("m").range(20, 60).points();
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[0].ts, 30);
-        assert_eq!((pts[1].ts, pts[1].fields["x"]), (50, 5.0));
-        assert_eq!((pts[2].ts, pts[2].fields["x"]), (50, 5.5));
+        assert_eq!(
+            d.from("m").range(20, 60).values("x"),
+            vec![(30, 3.0), (50, 5.0), (50, 5.5)]
+        );
     }
 
     #[test]
     fn tied_timestamps_across_series_surface_in_key_order() {
         // Two series, same timestamps: the merge must order ties by series
-        // key ("core=0" before "core=1"), exactly like the row store's
-        // key-ordered scan + stable sort.
+        // key ("core=0" before "core=1"): a key-ordered scan, then a stable
+        // sort.
         let mut d = Db::new();
+        let core1 = d.series_handle("m", &[("core", "1")], &["x"]);
+        let core0 = d.series_handle("m", &[("core", "0")], &["x"]);
         for t in [100u64, 200] {
-            d.insert(Point::new("m", t).tag("core", "1").field("x", 1.0));
-            d.insert(Point::new("m", t).tag("core", "0").field("x", 0.0));
+            d.ingest(core1, t, &[1.0]);
+            d.ingest(core0, t, &[0.0]);
         }
         assert_eq!(
             d.from("m").values("x"),
@@ -211,16 +193,21 @@ mod tests {
 
     #[test]
     fn missing_field_rows_are_skipped() {
+        // A series without the field contributes no rows to its values.
         let mut d = Db::new();
-        d.insert(Point::new("m", 1).field("x", 1.0));
-        d.insert(Point::new("m", 2).field("y", 9.0));
-        assert_eq!(d.from("m").values("x").len(), 1);
+        let x = d.series_handle("m", &[("k", "a")], &["x"]);
+        let y = d.series_handle("m", &[("k", "b")], &["y"]);
+        d.ingest(x, 1, &[1.0]);
+        d.ingest(y, 2, &[9.0]);
+        assert_eq!(d.from("m").values("x"), vec![(1, 1.0)]);
+        assert_eq!(d.from("m").count(), 2);
     }
 
     #[test]
     fn missing_tag_never_matches() {
         let mut d = Db::new();
-        d.insert(Point::new("m", 1).field("x", 1.0));
+        let h = d.series_handle("m", &[], &["x"]);
+        d.ingest(h, 1, &[1.0]);
         assert_eq!(d.from("m").filter("core", "0").count(), 0);
     }
 }

@@ -2,18 +2,16 @@
 //! series, and footprint accounting across deletes (§5.9 overhead math
 //! must stay exact when snapshots are pruned).
 
-use tsdb::{Db, Point};
+use tsdb::Db;
 
 fn seeded() -> Db {
     let mut db = Db::new();
+    let hits = db.series_handle("path_set", &[("core", "0")], &["hits"]);
     for t in 0..10u64 {
-        db.insert(
-            Point::new("path_set", t * 100)
-                .tag("core", "0")
-                .field("hits", t as f64),
-        );
+        db.ingest(hits, t * 100, &[t as f64]);
     }
-    db.insert(Point::new("vertex", 42).tag("hw", "L2").field("occ", 1.0));
+    let occ = db.series_handle("vertex", &[("hw", "L2")], &["occ"]);
+    db.ingest(occ, 42, &[1.0]);
     db
 }
 
@@ -21,7 +19,7 @@ fn seeded() -> Db {
 fn empty_range_matches_nothing() {
     let db = seeded();
     assert_eq!(db.from("path_set").range(500, 500).count(), 0);
-    assert!(db.from("path_set").range(0, 0).points().is_empty());
+    assert!(db.from("path_set").range(0, 0).values("hits").is_empty());
     assert!(db
         .from("path_set")
         .range(500, 500)
@@ -33,16 +31,22 @@ fn empty_range_matches_nothing() {
 fn reversed_range_matches_nothing() {
     let db = seeded();
     assert_eq!(db.from("path_set").range(900, 100).count(), 0);
-    assert!(db.from("path_set").range(u64::MAX, 0).points().is_empty());
+    assert!(db
+        .from("path_set")
+        .range(u64::MAX, 0)
+        .values("hits")
+        .is_empty());
 }
 
 #[test]
 fn single_point_series_is_queryable_at_its_timestamp() {
     let db = seeded();
     // [ts, ts+1) is the tightest half-open window that can hold the point.
-    let pts = db.from("vertex").range(42, 43).points();
-    assert_eq!(pts.len(), 1);
-    assert_eq!(pts[0].ts, 42);
+    assert_eq!(db.from("vertex").range(42, 43).count(), 1);
+    assert_eq!(
+        db.from("vertex").range(42, 43).values("occ"),
+        vec![(42, 1.0)]
+    );
     assert_eq!(db.from("vertex").range(43, 44).count(), 0);
     assert_eq!(db.from("vertex").values("occ"), vec![(42, 1.0)]);
 }
@@ -75,8 +79,9 @@ fn delete_with_degenerate_range_is_a_no_op() {
 fn footprint_shrinks_with_deletes_and_returns_key_bytes_when_a_series_empties() {
     let mut db = Db::new();
     let empty = db.footprint_bytes();
+    let h = db.series_handle("m", &[("core", "0")], &["x"]);
     for t in 0..5u64 {
-        db.insert(Point::new("m", t).tag("core", "0").field("x", t as f64));
+        db.ingest(h, t, &[t as f64]);
     }
     let full = db.footprint_bytes();
     assert!(full > empty);
@@ -102,10 +107,7 @@ fn deleted_window_can_be_repopulated() {
     let mut db = seeded();
     db.delete_range("path_set", 0, u64::MAX);
     assert_eq!(db.from("path_set").count(), 0);
-    db.insert(
-        Point::new("path_set", 100)
-            .tag("core", "0")
-            .field("hits", 9.0),
-    );
+    let h = db.series_handle("path_set", &[("core", "0")], &["hits"]);
+    db.ingest(h, 100, &[9.0]);
     assert_eq!(db.from("path_set").values("hits"), vec![(100, 9.0)]);
 }

@@ -1,28 +1,64 @@
 //! Property-based equivalence: the interned, columnar [`tsdb::Db`] must be
 //! observationally identical to a naive row-oriented reference model under
-//! arbitrary interleavings of inserts (in- and out-of-order timestamps),
+//! arbitrary interleavings of ingests (in- and out-of-order timestamps),
 //! range deletes, and queries. The reference model encodes the documented
 //! semantics of `tests/edge_cases.rs`: half-open `[start, stop)` ranges,
 //! reversed ranges match nothing, query rows ordered by timestamp with ties
 //! broken by canonical series-key order, and §5.9 footprint accounting that
 //! returns exactly to baseline when series empty.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use tsdb::{Db, Point};
+use tsdb::Db;
 
 const MEASUREMENTS: &[&str] = &["path_set", "vertex", "progress"];
 const DSTS: &[&str] = &["L2", "LLC", "CXL Memory"];
 const FIELDS: &[&str] = &["hits", "occ"];
 
-/// Naive reference store: a flat list of points, queried by scan.
+/// One record of the reference model: what a row-oriented store keeps
+/// per row.
+#[derive(Clone, Debug)]
+struct Row {
+    measurement: String,
+    ts: u64,
+    tags: BTreeMap<String, String>,
+    fields: BTreeMap<String, f64>,
+}
+
+impl Row {
+    /// The series key: measurement plus the sorted tag set.
+    fn series_key(&self) -> String {
+        let mut key = self.measurement.clone();
+        for (k, v) in &self.tags {
+            key.push_str(&format!(",{k}={v}"));
+        }
+        key
+    }
+
+    /// §5.9 logical bytes of the row: an 80-byte row struct plus the
+    /// measurement text, 48 bytes plus the text of each tag, and 32 bytes
+    /// plus the name of each field.
+    fn retained_bytes(&self) -> usize {
+        80 + self.measurement.len()
+            + self
+                .tags
+                .iter()
+                .map(|(k, v)| 48 + k.len() + v.len())
+                .sum::<usize>()
+            + self.fields.keys().map(|k| 32 + k.len()).sum::<usize>()
+    }
+}
+
+/// Naive reference store: a flat list of rows, queried by scan.
 #[derive(Default)]
 struct ModelDb {
-    rows: Vec<Point>,
+    rows: Vec<Row>,
 }
 
 impl ModelDb {
-    fn insert(&mut self, p: Point) {
-        self.rows.push(p);
+    fn insert(&mut self, r: Row) {
+        self.rows.push(r);
     }
 
     fn delete_range(&mut self, measurement: &str, start: u64, stop: u64) -> usize {
@@ -31,15 +67,15 @@ impl ModelDb {
         }
         let before = self.rows.len();
         self.rows
-            .retain(|p| !(p.measurement == measurement && p.ts >= start && p.ts < stop));
+            .retain(|r| !(r.measurement == measurement && r.ts >= start && r.ts < stop));
         before - self.rows.len()
     }
 
-    fn matches(p: &Point, measurement: &str, filters: &[(String, String)]) -> bool {
-        p.measurement == measurement
+    fn matches(r: &Row, measurement: &str, filters: &[(String, String)]) -> bool {
+        r.measurement == measurement
             && filters
                 .iter()
-                .all(|(k, v)| p.tags.get(k).map(String::as_str) == Some(v.as_str()))
+                .all(|(k, v)| r.tags.get(k).map(String::as_str) == Some(v.as_str()))
     }
 
     /// Query semantics: matching series visited in canonical key order,
@@ -51,49 +87,49 @@ impl ModelDb {
         filters: &[(String, String)],
         start: u64,
         stop: u64,
-    ) -> Vec<Point> {
+    ) -> Vec<Row> {
         let mut keys: Vec<String> = self
             .rows
             .iter()
-            .filter(|p| Self::matches(p, measurement, filters))
-            .map(Point::series_key)
+            .filter(|r| Self::matches(r, measurement, filters))
+            .map(Row::series_key)
             .collect();
         keys.sort();
         keys.dedup();
-        let mut out: Vec<Point> = Vec::new();
+        let mut out: Vec<Row> = Vec::new();
         for key in &keys {
-            let mut pts: Vec<Point> = self
+            let mut rows: Vec<Row> = self
                 .rows
                 .iter()
-                .filter(|p| {
-                    Self::matches(p, measurement, filters)
-                        && p.series_key() == *key
-                        && p.ts >= start
-                        && p.ts < stop
+                .filter(|r| {
+                    Self::matches(r, measurement, filters)
+                        && r.series_key() == *key
+                        && r.ts >= start
+                        && r.ts < stop
                 })
                 .cloned()
                 .collect();
-            pts.sort_by_key(|p| p.ts); // stable: insertion order survives ties
-            out.extend(pts);
+            rows.sort_by_key(|r| r.ts); // stable: insertion order survives ties
+            out.extend(rows);
         }
-        out.sort_by_key(|p| p.ts); // stable: key order survives ties
+        out.sort_by_key(|r| r.ts); // stable: key order survives ties
         out
     }
 
     fn n_series(&self) -> usize {
-        let mut keys: Vec<String> = self.rows.iter().map(Point::series_key).collect();
+        let mut keys: Vec<String> = self.rows.iter().map(Row::series_key).collect();
         keys.sort();
         keys.dedup();
         keys.len()
     }
 
-    /// §5.9 accounting: per-point retained bytes plus one key's bytes per
+    /// §5.9 accounting: per-row retained bytes plus one key's bytes per
     /// non-empty series.
     fn footprint_bytes(&self) -> usize {
-        let mut keys: Vec<String> = self.rows.iter().map(Point::series_key).collect();
+        let mut keys: Vec<String> = self.rows.iter().map(Row::series_key).collect();
         keys.sort();
         keys.dedup();
-        self.rows.iter().map(Point::retained_bytes).sum::<usize>()
+        self.rows.iter().map(Row::retained_bytes).sum::<usize>()
             + keys.iter().map(String::len).sum::<usize>()
     }
 }
@@ -112,30 +148,74 @@ fn apply_op(db: &mut Db, model: &mut ModelDb, op: &(u8, u8, u8, u8, u64, u64)) {
         assert_eq!(a, b, "delete_range removed counts diverged");
         return;
     }
-    // Insert: tag grid (core, sometimes dst), field subset (0, 1, or 2).
-    let mut p = Point::new(measurement, ts).tag("core", (core % 3).to_string());
-    if sel % 2 == 0 {
-        p = p.tag("dst", DSTS[sel as usize % DSTS.len()]);
-    }
-    for (i, f) in FIELDS.iter().enumerate() {
-        if (sel as usize >> i) & 1 == 0 {
-            p = p.field(*f, (ts as f64) * 0.5 + i as f64);
-        }
-    }
-    db.insert(p.clone());
-    model.insert(p);
+    // Ingest: tag grid (core, sometimes dst). A series' fields are a
+    // function of its tags: both, `hits` only, or `occ` only.
+    let core = (core % 3) as usize;
+    let dst = (sel % 2 == 0).then(|| DSTS[sel as usize % DSTS.len()]);
+    let fields: &[&str] = match (core + dst.map_or(0, str::len)) % 3 {
+        0 => FIELDS,
+        1 => &FIELDS[..1],
+        _ => &FIELDS[1..],
+    };
+    let core = core.to_string();
+    let mut tags = vec![("core", core.as_str())];
+    tags.extend(dst.map(|d| ("dst", d)));
+    let values: Vec<f64> = (0..fields.len())
+        .map(|i| (ts as f64) * 0.5 + i as f64)
+        .collect();
+    let id = db.series_handle(measurement, &tags, fields);
+    db.ingest(id, ts, &values);
+    model.insert(Row {
+        measurement: measurement.to_string(),
+        ts,
+        tags: tags
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
+        fields: fields
+            .iter()
+            .zip(&values)
+            .map(|(f, &v)| (f.to_string(), v))
+            .collect(),
+    });
 }
 
-fn assert_same_points(actual: &[Point], expected: &[Point], what: &str) {
+/// The store's answer for one query shape matches the model's: the same
+/// row count, and for each field the same `(ts, value)` rows in the same
+/// order. `range: None` queries without a time range.
+fn assert_same_rows(
+    db: &Db,
+    model: &ModelDb,
+    measurement: &str,
+    filters: &[(String, String)],
+    range: Option<(u64, u64)>,
+) {
+    let query = || {
+        let q = filters
+            .iter()
+            .fold(db.from(measurement), |q, (k, v)| q.filter(k, v));
+        match range {
+            Some((start, stop)) => q.range(start, stop),
+            None => q,
+        }
+    };
+    let (start, stop) = range.unwrap_or((0, u64::MAX));
+    let want = model.query(measurement, filters, start, stop);
     assert_eq!(
-        actual.len(),
-        expected.len(),
-        "{what}: row count diverged (got {}, want {})",
-        actual.len(),
-        expected.len()
+        query().count(),
+        want.len(),
+        "{measurement} {filters:?}: row count diverged"
     );
-    for (a, e) in actual.iter().zip(expected) {
-        assert_eq!(a, e, "{what}: row diverged");
+    for &f in FIELDS {
+        let rows: Vec<(u64, f64)> = want
+            .iter()
+            .filter_map(|r| r.fields.get(f).map(|&v| (r.ts, v)))
+            .collect();
+        assert_eq!(
+            query().values(f),
+            rows,
+            "{measurement} {filters:?}: {f} diverged"
+        );
     }
 }
 
@@ -162,39 +242,12 @@ proptest! {
         prop_assert_eq!(db.footprint_bytes(), model.footprint_bytes());
 
         let (start, stop) = (q_start, q_start.saturating_add(q_span));
+        let core1 = vec![("core".to_string(), "1".to_string())];
         for &m in MEASUREMENTS {
-            // Unfiltered, full-range and windowed queries.
-            assert_same_points(
-                &db.from(m).points(),
-                &model.query(m, &[], 0, u64::MAX),
-                "full query",
-            );
-            assert_same_points(
-                &db.from(m).range(start, stop).points(),
-                &model.query(m, &[], start, stop),
-                "windowed query",
-            );
-            prop_assert_eq!(
-                db.from(m).range(start, stop).count(),
-                model.query(m, &[], start, stop).len()
-            );
-            // Tag-filtered query.
-            let filters = vec![("core".to_string(), "1".to_string())];
-            assert_same_points(
-                &db.from(m).filter("core", "1").range(start, stop).points(),
-                &model.query(m, &filters, start, stop),
-                "filtered query",
-            );
-            // Field extraction: rows carrying the field, in row order.
-            for &f in FIELDS {
-                let got = db.from(m).range(start, stop).values(f);
-                let want: Vec<(u64, f64)> = model
-                    .query(m, &[], start, stop)
-                    .iter()
-                    .filter_map(|p| p.fields.get(f).map(|&v| (p.ts, v)))
-                    .collect();
-                prop_assert_eq!(got, want);
-            }
+            // Unfiltered full-range, windowed, and tag-filtered queries.
+            assert_same_rows(&db, &model, m, &[], None);
+            assert_same_rows(&db, &model, m, &[], Some((start, stop)));
+            assert_same_rows(&db, &model, m, &core1, Some((start, stop)));
         }
     }
 }

@@ -79,11 +79,6 @@ impl MixedPhase {
             seed,
         )
     }
-
-    /// Index of the current phase (tests / reports).
-    pub fn current_phase(&self) -> usize {
-        self.phase_idx
-    }
 }
 
 impl TraceSource for MixedPhase {

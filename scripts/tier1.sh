@@ -2,7 +2,8 @@
 # Tier-1 gate: everything CI (and a reviewer) requires before merge.
 # Runs the release build, the full test suite, formatting, clippy over all
 # targets with warnings denied (the root clippy.toml and the workspace
-# lints), and the pflint static-analysis pass (STATIC_ANALYSIS.md).
+# lints), rustdoc with warnings denied, and the pflint static-analysis pass
+# (STATIC_ANALYSIS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +27,9 @@ run cargo test -q -p simarch --test scheduler_digests
 run cargo test -q --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: every intra-doc link resolves and no public doc links a
+# private item, so a deleted or renamed item cannot leave a dangling link.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo run --release -p pflint
 
 # Observability acceptance (OBSERVABILITY.md): a figure run with
