@@ -89,14 +89,20 @@ impl HostSim {
     /// Advance `epochs` epochs; fold the counter delta into `totals` and
     /// optionally append one CSV line to the recorded stream.
     pub fn advance(&mut self, epochs: u64, record_stream: bool) {
-        let mut last = None;
-        for _ in 0..epochs {
-            last = Some(self.machine.run_epoch().snapshot);
+        if epochs == 0 {
+            return;
         }
-        let Some(snap) = last else { return };
+        // Every retired snapshot goes back to the machine, which
+        // overwrites it in place next epoch instead of cloning the PMU.
+        for _ in 1..epochs {
+            let snap = self.machine.run_epoch().snapshot;
+            self.machine.recycle_snapshot(snap);
+        }
+        let snap = self.machine.run_epoch().snapshot;
         let delta = snap.delta(&self.prev);
         accumulate(&delta, &mut self.totals);
-        self.prev = snap;
+        self.machine
+            .recycle_snapshot(std::mem::replace(&mut self.prev, snap));
         self.epochs_done += epochs;
         if record_stream {
             let _ = write!(self.stream, "{},{}", self.id, self.epochs_done);

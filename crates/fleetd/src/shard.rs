@@ -4,15 +4,16 @@
 //! one carries its own `#[expect]` (see STATIC_ANALYSIS.md).
 //!
 //! Topology: hosts are split into contiguous id ranges, one range per
-//! shard. Each shard is a long-lived worker thread that owns its
-//! [`HostSim`]s outright plus a private columnar [`tsdb::Db`] — no shared
-//! mutable simulation state, so a round is pure message passing: the
-//! coordinator broadcasts `Cmd::Round`, every worker advances its hosts
-//! by the epoch budget, ingests one row per host through the
-//! allocation-free `series_handle`/`ingest` path, and sends back a
-//! `ShardReport` with its partial aggregates. The coordinator merges
-//! reports, publishes a [`FleetSnapshot`] for the scrape endpoint behind
-//! [`SharedState`], and emits the daemon's `obs` self-metrics.
+//! shard. Each shard is a long-lived worker thread that builds its
+//! [`HostSim`]s and a private columnar [`tsdb::Db`] on its own thread and
+//! owns them outright — no shared mutable simulation state, so a round is
+//! pure message passing: the coordinator broadcasts `Cmd::Round`, every
+//! worker advances its hosts by the epoch budget, ingests one row per
+//! host through the allocation-free `series_handle`/`ingest` path, and
+//! sends back a `ShardReport` with its partial aggregates. The
+//! coordinator merges reports, publishes a [`FleetSnapshot`] for the
+//! scrape endpoint behind [`SharedState`], and emits the daemon's `obs`
+//! self-metrics.
 //!
 //! Graceful shutdown lives here too: `SIGINT`/`SIGTERM` handlers set a
 //! process-wide stop flag ([`install_stop_handlers`]), [`Fleet::drive`]
@@ -26,6 +27,7 @@
 //! `tests/determinism.rs`.
 
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -171,63 +173,91 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Build every host, partition them into contiguous shards, and spawn
-    /// one worker thread per shard.
+    /// Partition the hosts into contiguous shards and spawn one worker
+    /// thread per shard, which builds its own hosts. Returns once every
+    /// worker has reported its hosts built; if one reports an error, every
+    /// worker is stopped and joined and the error returned.
+    pub fn launch(cfg: FleetConfig) -> Result<Fleet, String> {
+        Fleet::launch_with(cfg, HostSim::new)
+    }
+
+    /// [`Fleet::launch`] with the host constructor as a parameter, so a
+    /// test can make a build fail.
     #[expect(
         clippy::disallowed_methods,
         reason = "spawns the shard workers and their channels"
     )]
-    pub fn launch(cfg: FleetConfig) -> Result<Fleet, String> {
+    fn launch_with<B>(cfg: FleetConfig, build: B) -> Result<Fleet, String>
+    where
+        B: Fn(u32, u64, usize) -> Result<HostSim, String> + Clone + Send + 'static,
+    {
+        let _s = obs::span!("fleet.launch");
         cfg.validate()?;
         let names = Arc::new(host::counter_names());
-        let columns = names.len();
-        let headline_idx = host::headline_indices();
         let per = u64::from(cfg.hosts).div_ceil(u64::from(cfg.shards)).max(1) as u32;
         let (report_tx, rx) = channel();
-        let mut txs = Vec::new();
-        let mut handles = Vec::new();
+        let (built_tx, built_rx) = channel();
+        let mut fleet = Fleet {
+            cfg,
+            families: Arc::new(crate::server::fleet_families(&names)),
+            names,
+            txs: Vec::new(),
+            rx,
+            handles: Vec::new(),
+            state: Arc::new(SharedState::new()),
+            round: 0,
+            epochs_total: 0,
+            points_total: 0,
+        };
         let mut start = 0u32;
-        let mut shard_no = 0u32;
-        while start < cfg.hosts {
-            let end = start.saturating_add(per).min(cfg.hosts);
-            let mut hosts = Vec::with_capacity((end - start) as usize);
-            for id in start..end {
-                hosts.push(HostSim::new(id, cfg.seed, columns)?);
-            }
+        while start < fleet.cfg.hosts {
+            let end = start.saturating_add(per).min(fleet.cfg.hosts);
+            let shard_no = fleet.handles.len();
             let (tx, cmd_rx) = channel();
-            let worker_cfg = cfg.clone();
-            let worker_names = Arc::clone(&names);
+            let worker_cfg = fleet.cfg.clone();
+            let worker_names = Arc::clone(&fleet.names);
+            let worker_build = build.clone();
             let report = report_tx.clone();
-            let handle = std::thread::Builder::new()
+            let built = built_tx.clone();
+            let spawned = std::thread::Builder::new()
                 .name(format!("fleetd-shard-{shard_no}"))
                 .spawn(move || {
                     worker_main(
                         worker_cfg,
                         worker_names,
-                        headline_idx,
-                        hosts,
+                        start..end,
+                        worker_build,
+                        built,
                         cmd_rx,
                         report,
                     );
-                })
-                .map_err(|e| format!("cannot spawn shard {shard_no}: {e}"))?;
-            txs.push(tx);
-            handles.push(handle);
+                });
+            match spawned {
+                Ok(handle) => {
+                    fleet.txs.push(tx);
+                    fleet.handles.push(handle);
+                }
+                Err(e) => {
+                    fleet.shutdown();
+                    return Err(format!("cannot spawn shard {shard_no}: {e}"));
+                }
+            }
             start = end;
-            shard_no += 1;
         }
-        Ok(Fleet {
-            cfg,
-            families: Arc::new(crate::server::fleet_families(&names)),
-            names,
-            txs,
-            rx,
-            handles,
-            state: Arc::new(SharedState::new()),
-            round: 0,
-            epochs_total: 0,
-            points_total: 0,
-        })
+        // Only the workers hold `built` senders now, each until it has
+        // reported, so one that dies before it reports ends the wait
+        // instead of hanging it.
+        drop(built_tx);
+        for _ in 0..fleet.handles.len() {
+            let failure = match built_rx.recv() {
+                Ok(Ok(())) => continue,
+                Ok(Err(e)) => e,
+                Err(_) => "shard worker died while building its hosts".to_string(),
+            };
+            fleet.shutdown();
+            return Err(failure);
+        }
+        Ok(fleet)
     }
 
     pub fn config(&self) -> &FleetConfig {
@@ -472,27 +502,43 @@ pub fn raise_sigterm() {
     }
 }
 
-/// Shard worker body: owns its hosts and DB, answers commands until Stop.
+/// Shard worker body: builds hosts `ids` and their series, sends `Ok` or
+/// the first build error on `built`, then owns them and answers commands
+/// until Stop. A host is a function of (fleet seed, id) alone, whichever
+/// worker builds it.
 #[expect(
     clippy::disallowed_types,
-    reason = "a worker's command and report channels"
+    reason = "a worker's build, command and report channels"
 )]
 fn worker_main(
     cfg: FleetConfig,
     names: Arc<Vec<String>>,
-    headline_idx: [usize; 2],
-    mut hosts: Vec<HostSim>,
+    ids: Range<u32>,
+    build: impl Fn(u32, u64, usize) -> Result<HostSim, String>,
+    built: Sender<Result<(), String>>,
     rx: Receiver<Cmd>,
     report: Sender<ShardReport>,
 ) {
+    let columns = names.len();
+    let span = obs::span!("fleet.shard_build");
+    let hosts: Result<Vec<HostSim>, String> = ids.map(|id| build(id, cfg.seed, columns)).collect();
+    let mut hosts = match hosts {
+        Ok(hosts) => hosts,
+        Err(e) => {
+            let _ = built.send(Err(e));
+            return;
+        }
+    };
     let mut db = Db::new();
     let fields: Vec<&str> = names.iter().map(String::as_str).collect();
-    let tags: Vec<String> = hosts.iter().map(|h| h.id.to_string()).collect();
-    let series: Vec<SeriesId> = tags
+    let series: Vec<SeriesId> = hosts
         .iter()
-        .map(|t| db.series_handle("fleet_host", &[("host", t.as_str())], &fields))
+        .map(|h| db.series_handle("fleet_host", &[("host", &h.id.to_string())], &fields))
         .collect();
-    let columns = names.len();
+    drop(span);
+    let _ = built.send(Ok(()));
+    drop(built);
+    let headline_idx = host::headline_indices();
     let mut values: Vec<f64> = Vec::with_capacity(columns);
     let mut rounds = 0u64;
     while let Ok(cmd) = rx.recv() {
@@ -550,5 +596,33 @@ fn worker_main(
             }
             Cmd::Stop => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_host_build_error_fails_launch_and_joins_every_worker() {
+        // Every worker holds a clone of `build`, and so of `alive`, until
+        // its body returns.
+        let alive = Arc::new(());
+        let token = Arc::clone(&alive);
+        let build = move |id: u32, seed: u64, columns: usize| {
+            let _hold = &token;
+            if id == 2 {
+                return Err(format!("host {id} failed to build"));
+            }
+            HostSim::new(id, seed, columns)
+        };
+        let cfg = FleetConfig {
+            hosts: 6,
+            shards: 3,
+            ..FleetConfig::default()
+        };
+        let err = Fleet::launch_with(cfg, build).err();
+        assert_eq!(err.as_deref(), Some("host 2 failed to build"));
+        assert_eq!(Arc::strong_count(&alive), 1, "a worker is still running");
     }
 }

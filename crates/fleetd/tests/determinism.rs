@@ -37,8 +37,11 @@ fn fixed_seed_streams_are_identical_across_shard_counts() {
     }
     let two = dump_with_shards(2);
     let three = dump_with_shards(3);
+    // More shards than hosts: one worker per host, each building its own.
+    let eight = dump_with_shards(8);
     assert_eq!(one, two, "1-shard and 2-shard streams diverge");
     assert_eq!(one, three, "1-shard and 3-shard streams diverge");
+    assert_eq!(one, eight, "1-shard and 8-shard streams diverge");
 }
 
 #[test]

@@ -32,8 +32,6 @@ pub struct Line<P = ()> {
     /// Cycle at which the fill completes; a demand access before this merges
     /// (waits) rather than hitting instantly.
     pub ready_at: u64,
-    /// True if the line was brought in by a prefetch and not yet demanded.
-    pub prefetched: bool,
     lru: u64,
     pub payload: P,
 }
@@ -43,8 +41,6 @@ pub struct Line<P = ()> {
 pub struct Eviction<P = ()> {
     pub line_addr: u64,
     pub state: LineState,
-    /// The victim had never been demanded after prefetch (dead prefetch).
-    pub was_prefetched: bool,
     pub payload: P,
 }
 
@@ -83,7 +79,6 @@ impl<P: Copy + Default> SetAssocCache<P> {
             tag: 0,
             state: LineState::Shared,
             ready_at: 0,
-            prefetched: false,
             lru: 0,
             payload: P::default(),
         };
@@ -165,9 +160,8 @@ impl<P: Copy + Default> SetAssocCache<P> {
         line_addr: u64,
         state: LineState,
         ready_at: u64,
-        prefetched: bool,
     ) -> Option<Eviction<P>> {
-        self.insert_with(line_addr, state, ready_at, prefetched, |_| {})
+        self.insert_with(line_addr, state, ready_at, |_| {})
     }
 
     /// [`Self::insert`], then apply `update` to the line's payload, all in
@@ -178,7 +172,6 @@ impl<P: Copy + Default> SetAssocCache<P> {
         line_addr: u64,
         state: LineState,
         ready_at: u64,
-        prefetched: bool,
         update: impl FnOnce(&mut P),
     ) -> Option<Eviction<P>> {
         self.lru_clock += 1;
@@ -190,7 +183,6 @@ impl<P: Copy + Default> SetAssocCache<P> {
         if let Some(l) = set.iter_mut().find(|l| l.tag == line_addr) {
             l.state = state;
             l.ready_at = ready_at;
-            l.prefetched = prefetched;
             l.lru = clock;
             update(&mut l.payload);
             return None;
@@ -199,7 +191,6 @@ impl<P: Copy + Default> SetAssocCache<P> {
             tag: line_addr,
             state,
             ready_at,
-            prefetched,
             lru: clock,
             payload: P::default(),
         };
@@ -218,7 +209,6 @@ impl<P: Copy + Default> SetAssocCache<P> {
             Some(Eviction {
                 line_addr: v.tag,
                 state: v.state,
-                was_prefetched: v.prefetched,
                 payload: v.payload,
             })
         } else {
@@ -299,7 +289,7 @@ mod tests {
     #[test]
     fn hit_after_insert() {
         let mut c = cache_4x2();
-        c.insert(100, LineState::Exclusive, 0, false);
+        c.insert(100, LineState::Exclusive, 0);
         assert!(c.lookup(100).is_some());
         assert!(c.lookup(101).is_none());
     }
@@ -308,12 +298,10 @@ mod tests {
     fn lru_evicts_least_recent() {
         let mut c = SetAssocCache::new(2 * 64, 2); // 1 set × 2 ways
         assert_eq!(c.n_sets(), 1);
-        c.insert(1, LineState::Exclusive, 0, false);
-        c.insert(2, LineState::Exclusive, 0, false);
+        c.insert(1, LineState::Exclusive, 0);
+        c.insert(2, LineState::Exclusive, 0);
         c.lookup(1); // 1 becomes MRU
-        let ev = c
-            .insert(3, LineState::Exclusive, 0, false)
-            .expect("must evict");
+        let ev = c.insert(3, LineState::Exclusive, 0).expect("must evict");
         assert_eq!(ev.line_addr, 2);
         assert!(c.peek(1).is_some());
         assert!(c.peek(3).is_some());
@@ -322,20 +310,19 @@ mod tests {
     #[test]
     fn insert_existing_updates_in_place() {
         let mut c = cache_4x2();
-        c.insert(5, LineState::Shared, 0, true);
-        let ev = c.insert(5, LineState::Modified, 9, false);
+        c.insert(5, LineState::Shared, 0);
+        let ev = c.insert(5, LineState::Modified, 9);
         assert!(ev.is_none());
         let l = c.peek(5).unwrap();
         assert_eq!(l.state, LineState::Modified);
         assert_eq!(l.ready_at, 9);
-        assert!(!l.prefetched);
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn invalidate_removes() {
         let mut c = cache_4x2();
-        c.insert(7, LineState::Modified, 0, false);
+        c.insert(7, LineState::Modified, 0);
         assert_eq!(c.invalidate(7), Some(LineState::Modified));
         assert!(c.peek(7).is_none());
         assert_eq!(c.invalidate(7), None);
@@ -344,7 +331,7 @@ mod tests {
     #[test]
     fn downgrade_to_shared() {
         let mut c = cache_4x2();
-        c.insert(9, LineState::Exclusive, 0, false);
+        c.insert(9, LineState::Exclusive, 0);
         assert_eq!(c.downgrade(9), Some(LineState::Exclusive));
         assert_eq!(c.peek(9).unwrap().state, LineState::Shared);
     }

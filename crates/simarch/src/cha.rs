@@ -152,7 +152,6 @@ impl ChaComplex {
         let t = svc.finish;
         if let Some(l) = slice.llc.lookup(line) {
             let ready = l.ready_at.max(t);
-            l.prefetched = false;
             if rfo {
                 l.state = LineState::Modified;
             }
@@ -176,14 +175,11 @@ impl ChaComplex {
         line: u64,
         state: LineState,
         ready_at: u64,
-        prefetched: bool,
     ) -> Option<Eviction<u64>> {
         let s = slice_of(line, self.slices.len());
         self.slices[s]
             .llc
-            .insert_with(line, state, ready_at, prefetched, |owners| {
-                *owners |= 1 << core
-            })
+            .insert_with(line, state, ready_at, |owners| *owners |= 1 << core)
     }
 
     /// A write-back from a core's L2 (or an explicit flush) lands in the
@@ -208,7 +204,7 @@ impl ChaComplex {
         } else {
             LineState::Exclusive
         };
-        let ev = self.slices[s].llc.insert(line, state, svc.finish, false);
+        let ev = self.slices[s].llc.insert(line, state, svc.finish);
         (svc.finish, ev)
     }
 
@@ -442,7 +438,7 @@ mod tests {
         let (mut cha, mut bank) = setup();
         let out = cha.lookup(0, 42, false, 100, &mut bank);
         assert!(matches!(out, ChaOutcome::Miss { .. }));
-        cha.fill(0, 42, LineState::Exclusive, 500, false);
+        cha.fill(0, 42, LineState::Exclusive, 500);
         let out2 = cha.lookup(0, 42, false, 600, &mut bank);
         assert!(matches!(out2, ChaOutcome::LlcHit { .. }), "{out2:?}");
         assert_eq!(bank.read(ChaEvent::LlcLookupHit), 1);
@@ -453,8 +449,8 @@ mod tests {
     #[test]
     fn fill_records_owner_in_directory() {
         let (mut cha, mut bank) = setup();
-        assert_eq!(cha.fill(2, 13, LineState::Exclusive, 0, false), None);
-        cha.fill(0, 13, LineState::Exclusive, 0, false);
+        assert_eq!(cha.fill(2, 13, LineState::Exclusive, 0), None);
+        cha.fill(0, 13, LineState::Exclusive, 0);
         // Lookups and write-backs keep the owners of a resident line.
         cha.lookup(1, 13, true, 0, &mut bank);
         cha.writeback(13, true, 0, &mut bank);
@@ -530,7 +526,7 @@ mod tests {
             }
         }
         let line = distant_line.unwrap();
-        cha.fill(0, line, LineState::Exclusive, 0, false);
+        cha.fill(0, line, LineState::Exclusive, 0);
         match cha.lookup(0, line, false, 0, &mut bank) {
             ChaOutcome::LlcHit { snc_distant, .. } => assert!(snc_distant),
             o => panic!("{o:?}"),

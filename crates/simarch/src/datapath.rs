@@ -146,14 +146,7 @@ impl Machine {
         let t_issue = self.cores[c].time;
 
         // ---- L1D lookup -------------------------------------------------
-        let l1_state = self.cores[c]
-            .l1d
-            .lookup(line)
-            .map(|l| (l.ready_at, l.prefetched));
-        if let Some((ready_at, _)) = l1_state {
-            if let Some(l) = self.cores[c].l1d.lookup(line) {
-                l.prefetched = false;
-            }
+        if let Some(ready_at) = self.cores[c].l1d.lookup(line).map(|l| l.ready_at) {
             let bank = &mut self.pmu.cores[c];
             if ready_at <= t_issue {
                 if demand {
@@ -286,16 +279,18 @@ impl Machine {
                 _ => {}
             }
         }
-        let l2_state = self.cores[c].l2.lookup(line).map(|l| (l.ready_at, l.state));
-        let result = if let Some((ready_at, state)) = l2_state {
-            let writable_ok = !rfo || state.writable();
-            if writable_ok {
+        // A hit that needs ownership it holds takes the line Modified in
+        // the same lookup.
+        let l2_hit = self.cores[c].l2.lookup(line).map(|l| {
+            let writable_ok = !rfo || l.state.writable();
+            if rfo && writable_ok {
+                l.state = LineState::Modified;
+            }
+            (l.ready_at, writable_ok)
+        });
+        match l2_hit {
+            Some((ready_at, true)) => {
                 let fin = ready_at.max(t_l2 + self.cfg.l2.hit_latency);
-                if rfo {
-                    if let Some(l) = self.cores[c].l2.lookup(line) {
-                        l.state = LineState::Modified;
-                    }
-                }
                 let bank = &mut self.pmu.cores[c];
                 match path {
                     PathClass::Drd => {
@@ -310,27 +305,28 @@ impl Machine {
                     _ => bank.inc(CoreEvent::L2RqstsHwpfHit),
                 }
                 (fin, ServeLoc::L2, false, false)
-            } else {
+            }
+            Some((_, false)) => {
                 // Present but not writable: ownership upgrade goes offcore.
                 self.count_l2_miss(c, path);
                 let (fin, loc, missed_l3) =
                     self.offcore_access(c, line, node, path, true, t_l2 + self.cfg.l2.tag_latency);
                 (fin, loc, true, missed_l3)
             }
-        } else {
-            self.count_l2_miss(c, path);
-            let (fin, loc, missed_l3) =
-                self.offcore_access(c, line, node, path, rfo, t_l2 + self.cfg.l2.tag_latency);
-            // Fill L2.
-            let state = if rfo {
-                LineState::Modified
-            } else {
-                LineState::Exclusive
-            };
-            self.fill_l2(c, line, state, fin, !demand, t_l2);
-            (fin, loc, true, missed_l3)
-        };
-        result
+            None => {
+                self.count_l2_miss(c, path);
+                let (fin, loc, missed_l3) =
+                    self.offcore_access(c, line, node, path, rfo, t_l2 + self.cfg.l2.tag_latency);
+                // Fill L2.
+                let state = if rfo {
+                    LineState::Modified
+                } else {
+                    LineState::Exclusive
+                };
+                self.fill_l2(c, line, state, fin, t_l2);
+                (fin, loc, true, missed_l3)
+            }
+        }
     }
 
     /// Train the L2 stream prefetcher and issue what it produces. Real
@@ -426,8 +422,7 @@ impl Machine {
                 } else {
                     LineState::Exclusive
                 };
-                let prefetched = !matches!(path, PathClass::Drd | PathClass::Rfo | PathClass::Dwr);
-                self.cha_fill(c, line, state, fin, prefetched, depart);
+                self.cha_fill(c, line, state, fin, depart);
                 (fin, loc, true)
             }
         };
@@ -563,16 +558,8 @@ impl Machine {
     /// arrivals stay (near-)monotone in time — a future-timestamped arrival
     /// would drag the FIFO horizon forward and falsely serialise every
     /// later request behind it.
-    fn cha_fill(
-        &mut self,
-        c: usize,
-        line: u64,
-        state: LineState,
-        ready_at: u64,
-        prefetched: bool,
-        now: u64,
-    ) {
-        if let Some(ev) = self.cha.fill(c, line, state, ready_at, prefetched) {
+    fn cha_fill(&mut self, c: usize, line: u64, state: LineState, ready_at: u64, now: u64) {
+        if let Some(ev) = self.cha.fill(c, line, state, ready_at) {
             self.evict_from_llc(ev, now);
         }
     }
@@ -626,7 +613,7 @@ impl Machine {
         ready_at: u64,
         now: u64,
     ) {
-        let ev = self.cores[c].l1d.insert(line, state, ready_at, false);
+        let ev = self.cores[c].l1d.insert(line, state, ready_at);
         if let Some(Eviction {
             line_addr, state, ..
         }) = ev
@@ -636,7 +623,7 @@ impl Machine {
                 // Dirty spill into L2 (write-back cache).
                 let ev2 = self.cores[c]
                     .l2
-                    .insert(line_addr, LineState::Modified, ready_at, false);
+                    .insert(line_addr, LineState::Modified, ready_at);
                 if let Some(e2) = ev2 {
                     self.spill_l2_victim(c, e2, now);
                 }
@@ -651,10 +638,9 @@ impl Machine {
         line: u64,
         state: LineState,
         ready_at: u64,
-        prefetched: bool,
         now: u64,
     ) {
-        let ev = self.cores[c].l2.insert(line, state, ready_at, prefetched);
+        let ev = self.cores[c].l2.insert(line, state, ready_at);
         if let Some(e) = ev {
             self.spill_l2_victim(c, e, now);
         }
@@ -693,7 +679,7 @@ impl Machine {
             return;
         }
         let (fin, _loc, _m3) = self.offcore_access(c, line, node, PathClass::HwPfL1, false, at);
-        self.fill_l2(c, line, LineState::Exclusive, fin, true, at);
+        self.fill_l2(c, line, LineState::Exclusive, fin, at);
         self.fill_l1(c, line, LineState::Exclusive, fin, at);
     }
 
@@ -708,7 +694,7 @@ impl Machine {
         }
         self.count_l2_miss(c, PathClass::HwPfL2Drd);
         let (fin, _loc, _m3) = self.offcore_access(c, line, node, PathClass::HwPfL2Drd, false, at);
-        self.fill_l2(c, line, LineState::Exclusive, fin, true, at);
+        self.fill_l2(c, line, LineState::Exclusive, fin, at);
         self.cores[c].inflight.insert(line, fin);
     }
 
@@ -814,22 +800,21 @@ impl Machine {
         }
 
         // L1D write hit with ownership?
-        let l1 = self.cores[c]
-            .l1d
-            .lookup(line)
-            .map(|l| (l.ready_at, l.state));
-        let drain = match l1 {
-            Some((ready_at, state)) if state.writable() => {
-                if let Some(l) = self.cores[c].l1d.lookup(line) {
-                    l.state = LineState::Modified;
-                }
+        let l1_owned = self.cores[c].l1d.lookup(line).and_then(|l| {
+            l.state.writable().then(|| {
+                l.state = LineState::Modified;
+                l.ready_at
+            })
+        });
+        let drain = match l1_owned {
+            Some(ready_at) => {
                 let d = ready_at.max(t) + self.cfg.l1d.hit_latency;
                 self.cores[c]
                     .truth
                     .record_served(PathClass::Dwr, ServeLoc::L1d, d - t);
                 d
             }
-            _ => {
+            None => {
                 // RFO: gain exclusive ownership through the hierarchy
                 // (§2.2 path #3 — same walk as a DRd, from the L1D).
                 self.train_prefetcher(c, line, node, t);

@@ -90,7 +90,8 @@ diff -u "$obs_out/locality_serial.txt" "$obs_out/locality_jobs2.txt"
 # Fleet-mode smoke (FLEET.md): a small sharded fleet serves a live
 # /metrics scrape whose Prometheus exposition validates (TYPE lines,
 # pathfinder_* mangling, no duplicate samples, the contract families
-# present), and whose timings JSON names the fleet phases.
+# present), and whose timings JSON names the fleet phases: the launch and
+# each worker's host build as well as the rounds.
 run cargo run --release -p fleetd --bin pathfinder-fleetd -- \
     --hosts 16 --shards 2 --rounds 2 --listen 127.0.0.1:0 \
     --scrape-out "$obs_out/fleet_metrics.txt" \
@@ -103,7 +104,8 @@ run cargo run --release -p obs --bin obs_validate -- --prom \
     pathfinder_obs_dropped_events pathfinder_fleet_inst_retired_any \
     pathfinder_host_inst_retired_any
 run cargo run --release -p obs --bin obs_validate -- \
-    "$obs_out/fleet_timings.json" fleet.round fleet.shard_round
+    "$obs_out/fleet_timings.json" fleet.round fleet.shard_round \
+    fleet.launch fleet.shard_build
 
 # Golden gate (EXPERIMENTS.md): every figure binary reruns at full size
 # and all CSVs under crates/bench/out, plus the captured stdout in

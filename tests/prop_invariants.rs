@@ -18,7 +18,7 @@ proptest! {
         let mut c = SetAssocCache::new(sets * ways * 64, ways);
         for (line, op) in ops {
             match op {
-                0 => { c.insert(line, LineState::Exclusive, 0, false); }
+                0 => { c.insert(line, LineState::Exclusive, 0); }
                 1 => { c.invalidate(line); }
                 _ => { c.lookup(line); }
             }
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn cache_insert_then_hit(line in 0u64..10_000) {
         let mut c = SetAssocCache::new(64 * 64, 4);
-        c.insert(line, LineState::Shared, 0, true);
+        c.insert(line, LineState::Shared, 0);
         prop_assert!(c.peek(line).is_some());
         prop_assert_eq!(c.peek(line).unwrap().state, LineState::Shared);
     }
