@@ -86,7 +86,6 @@ impl Materializer {
     /// Ingest one epoch's path map as `path_set` records: one record per
     /// (core, path, level) with a non-zero hit count. `apps[core]` labels
     /// the records so cross-application queries can scope by program.
-    // pflint::hot
     pub fn ingest_path_map(&mut self, ts: u64, map: &PathMap, apps: &[Option<String>]) {
         self.ensure_app_handles(map.per_core.len(), apps);
         let Materializer {
@@ -108,7 +107,6 @@ impl Materializer {
     }
 
     /// Ingest per-(path, component) queue lengths as `vertex` records.
-    // pflint::hot
     pub fn ingest_queues(&mut self, ts: u64, q: &crate::analyzer::QueueEstimate) {
         if self.vertex_handles.is_none() {
             self.vertex_handles = Some(PathGroup::ALL.map(|p| {
@@ -136,7 +134,6 @@ impl Materializer {
     }
 
     /// Ingest application progress (`ops` per epoch) as `app` records.
-    // pflint::hot
     pub fn ingest_progress(&mut self, ts: u64, ops_per_core: &[u64], apps: &[Option<String>]) {
         self.ensure_app_handles(ops_per_core.len(), apps);
         let Materializer {

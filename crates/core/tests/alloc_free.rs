@@ -1,0 +1,217 @@
+//! Steady-state allocator calls, pinned. A counting global allocator (the
+//! workspace's one `GlobalAlloc`) counts every allocation and
+//! reallocation the calling thread makes. After warm-up, the epoch loops
+//! of the benchmark's two machine shapes, through `Machine::run_epoch`
+//! with snapshot recycling and through `Profiler::profile_epoch`, a
+//! machine under every fault class, and a faulted two-host `Fabric` epoch
+//! each make an exact, repeatable number of calls, pinned below; a
+//! reserved `tsdb::Db::ingest` batch makes none. An allocation added
+//! anywhere under these loops, callees included, moves a pin. A change
+//! that moves one on purpose updates it and gives the reason.
+//!
+//! Counters are thread-local (const-initialised TLS, so reading them never
+//! allocates): the libtest harness runs tests on threads of their own, and
+//! a process-global count would pick up their allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pathfinder::profiler::{ProfileSpec, Profiler};
+use simarch::{
+    Fabric, FabricConfig, FaultClass, FaultPlan, FaultWindow, Machine, MachineConfig, MemPolicy,
+    StageId, Workload,
+};
+use tsdb::Db;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+#[expect(
+    unsafe_code,
+    reason = "a GlobalAlloc impl cannot be written without unsafe"
+)]
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.set(ALLOCS.get() + 1);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.set(ALLOCS.get() + 1);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocator calls made by `epochs` calls of `step` after `warmup` calls.
+fn steady_allocs(warmup: u64, epochs: u64, mut step: impl FnMut()) -> u64 {
+    for _ in 0..warmup {
+        step();
+    }
+    let before = ALLOCS.get();
+    for _ in 0..epochs {
+        step();
+    }
+    ALLOCS.get() - before
+}
+
+/// `app` as an effectively endless workload: no trace drains within a
+/// test.
+fn endless(app: &str, policy: MemPolicy, seed: u64) -> Workload {
+    let trace = workloads::build(app, u64::MAX >> 1, seed).expect("registry app");
+    Workload::new(app, trace, policy)
+}
+
+fn machine(mut cfg: MachineConfig, epoch_cycles: u64, apps: &[(&str, MemPolicy)]) -> Machine {
+    cfg.epoch_cycles = epoch_cycles;
+    let mut m = Machine::new(cfg);
+    for (core, &(app, policy)) in apps.iter().enumerate() {
+        m.attach(core, endless(app, policy, core as u64 + 1));
+    }
+    m
+}
+
+// The apps of the benchmark's two machine shapes: the tiny machine with
+// 500-cycle epochs of `profile-short-epoch`, and the SPR machine with
+// 100 000-cycle epochs of `sim-cxl-contended`.
+const TINY_APPS: &[(&str, MemPolicy)] = &[
+    ("519.lbm_r", MemPolicy::Cxl),
+    ("505.mcf_r", MemPolicy::Local),
+];
+const SPR_APPS: &[(&str, MemPolicy)] = &[
+    ("GUPS", MemPolicy::Cxl),
+    ("GUPS", MemPolicy::Cxl),
+    ("STREAM", MemPolicy::Cxl),
+    ("505.mcf_r", MemPolicy::Local),
+];
+
+/// Every window of `faults`, open over the whole run.
+fn plan(faults: &[(FaultClass, StageId, u64)]) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for &(class, stage, severity) in faults {
+        plan.push(FaultWindow {
+            class,
+            stage,
+            start_epoch: 0,
+            end_epoch: u64::MAX,
+            severity,
+        })
+        .expect("a valid fault window");
+    }
+    plan
+}
+
+/// Allocator calls over `epochs` epochs of `m` after `warmup`, each
+/// epoch's snapshot handed back for reuse.
+fn run_epoch_allocs(mut m: Machine, warmup: u64, epochs: u64) -> u64 {
+    steady_allocs(warmup, epochs, || {
+        let e = m.run_epoch();
+        m.recycle_snapshot(e.snapshot);
+    })
+}
+
+/// Allocator calls over `epochs` profiled epochs of `m` after `warmup`.
+fn profile_epoch_allocs(m: Machine, warmup: u64, epochs: u64) -> u64 {
+    let mut p = Profiler::new(m, ProfileSpec::default());
+    steady_allocs(warmup, epochs, || {
+        p.profile_epoch();
+    })
+}
+
+#[test]
+fn tiny_machine_epochs_make_pinned_allocator_calls() {
+    let tiny = || machine(MachineConfig::tiny(), 500, TINY_APPS);
+    assert_eq!(run_epoch_allocs(tiny(), 200, 2_000), 3_997);
+    assert_eq!(profile_epoch_allocs(tiny(), 200, 2_000), 30_217);
+}
+
+#[test]
+fn spr_machine_epochs_make_pinned_allocator_calls() {
+    let spr = || machine(MachineConfig::spr(), 100_000, SPR_APPS);
+    assert_eq!(run_epoch_allocs(spr(), 3, 12), 44);
+    assert_eq!(profile_epoch_allocs(spr(), 3, 12), 390);
+}
+
+/// The branches the benchmark's shapes never take: every machine fault
+/// class, remote-socket and interleaved placement.
+#[test]
+fn faulted_machine_epochs_make_pinned_allocator_calls() {
+    use FaultClass::*;
+    let apps = [
+        ("519.lbm_r", MemPolicy::Interleave { cxl_fraction: 0.5 }),
+        ("505.mcf_r", MemPolicy::RemoteNuma),
+    ];
+    let mut m = machine(MachineConfig::tiny(), 500, &apps);
+    m.set_fault_plan(plan(&[
+        (LinkDegrade, StageId::cxl(0), 2),
+        (DevThrottle, StageId::cxl(0), 2),
+        (PoisonedLine, StageId::cxl(0), 16),
+        (QueueStall, StageId::cha(), 200),
+        (QueueStall, StageId::imc(), 200),
+        (PmuDropout, StageId::imc(), 0),
+    ]));
+    assert_eq!(run_epoch_allocs(m, 200, 2_000), 3_903);
+}
+
+#[test]
+fn two_host_fabric_epochs_make_pinned_allocator_calls() {
+    let cfg = MachineConfig::tiny();
+    let mut f = Fabric::new(cfg.clone(), FabricConfig::balanced(2, &cfg));
+    for (host, app) in ["519.lbm_r", "505.mcf_r"].into_iter().enumerate() {
+        f.attach(host, 0, endless(app, MemPolicy::Cxl, host as u64 + 1));
+    }
+    f.set_fault_plan(plan(&[
+        (FaultClass::SharedLinkDegrade, StageId::switch_port(0), 2),
+        (FaultClass::SwitchPortStall, StageId::switch_port(1), 200),
+    ]));
+    let fabric = steady_allocs(20, 200, || {
+        f.run_epoch();
+    });
+    assert_eq!(fabric, 17_400);
+}
+
+#[test]
+fn steady_state_ingest_performs_zero_allocations() {
+    const EPOCHS: usize = 1_024;
+
+    let mut db = Db::new();
+    // Cold path: resolve handles (interns strings, builds columns) and
+    // reserve capacity for the whole batch up front.
+    let paths = ["DRd", "RFO", "HW PF", "SW PF"];
+    let mut handles = Vec::new();
+    for core in 0..2u32 {
+        let core_s = core.to_string();
+        for p in &paths {
+            handles.push(db.series_handle(
+                "path_set",
+                &[("core", core_s.as_str()), ("path", p), ("dst", "LLC")],
+                &["hits"],
+            ));
+        }
+    }
+    for &id in &handles {
+        db.reserve(id, EPOCHS);
+    }
+
+    // Hot path: the per-epoch grid the materializer emits. Must not touch
+    // the allocator at all.
+    let mut e = 0;
+    let ingest = steady_allocs(0, EPOCHS as u64, || {
+        let ts = e as u64 * 10_000;
+        for (i, &id) in handles.iter().enumerate() {
+            db.ingest(id, ts, &[(e * i) as f64]);
+        }
+        e += 1;
+    });
+    assert_eq!(ingest, 0, "steady-state ingest must be allocation-free");
+    assert_eq!(db.len(), EPOCHS * handles.len());
+}

@@ -2,10 +2,11 @@
 //! totals in `pmu::registry::all_events()` column order.
 //!
 //! Host identity is the only input to a host's behaviour: its workload is
-//! picked by `id % 4` from [`FLEET_APPS`], its placement policy alternates
-//! local/CXL by id, and its trace seed is derived from the fleet seed and
-//! the id alone. Shard assignment never feeds into any of this — that is
-//! what makes fixed-seed fleet streams byte-identical across shard counts.
+//! picked by the low two bits of `id` from [`FLEET_APPS`], its placement
+//! policy alternates local/CXL by id, and its trace seed is derived from
+//! the fleet seed and the id alone. Shard assignment never feeds into any
+//! of this — that is what makes fixed-seed fleet streams byte-identical
+//! across shard counts.
 
 use std::fmt::Write as _;
 
@@ -59,7 +60,7 @@ impl HostSim {
     /// registry is missing one of [`FLEET_APPS`].
     pub fn new(id: u32, fleet_seed: u64, columns: usize) -> Result<HostSim, String> {
         let [a0, a1, a2, a3] = FLEET_APPS;
-        let app = match id % 4 {
+        let app = match id & 3 {
             0 => a0,
             1 => a1,
             2 => a2,
@@ -71,7 +72,7 @@ impl HostSim {
             MemPolicy::Local
         };
         // Effectively-infinite op budget: fleet hosts never drain.
-        let trace = workloads::build(app, u64::MAX / 2, mix_seed(fleet_seed, id))
+        let trace = workloads::build(app, u64::MAX >> 1, mix_seed(fleet_seed, id))
             .ok_or_else(|| format!("workload registry has no app `{app}`"))?;
         let mut machine = Machine::new(host_config());
         machine.attach(0, Workload::new(app, trace, policy));

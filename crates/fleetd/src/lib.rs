@@ -27,8 +27,9 @@
 //! Correctness anchor: with a fixed seed, the per-host counter streams are
 //! byte-identical regardless of shard count — sharding is a throughput
 //! knob, never a semantic one. The daemon surface denies clippy's panic
-//! lints, is a pflint `panic-freedom` root, and routes every wall-clock
-//! read through [`obs::clock`].
+//! lints, and for its non-test code indexing, string slicing, integer
+//! division and the assert macros too; it routes every wall-clock read
+//! through [`obs::clock`].
 
 #![deny(
     clippy::unwrap_used,
@@ -37,6 +38,15 @@
     clippy::unreachable,
     clippy::todo,
     clippy::unimplemented
+)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::integer_division_remainder_used,
+        clippy::disallowed_macros
+    )
 )]
 
 pub mod aggregate;

@@ -19,7 +19,7 @@
 //! file — `scripts/tier1.sh` validates it with `obs_validate --prom`.
 //!
 //! The whole binary is on the daemon surface: panic-free (the clippy
-//! panic lints denied below, plus pflint's `panic-freedom` root) and
+//! panic, indexing, slicing, division and assert lints denied below) and
 //! obs-clocked.
 
 #![deny(
@@ -29,6 +29,15 @@
     clippy::unreachable,
     clippy::todo,
     clippy::unimplemented
+)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::integer_division_remainder_used,
+        clippy::disallowed_macros
+    )
 )]
 
 use std::io::{Read as _, Write as _};
@@ -133,7 +142,7 @@ fn run() -> Result<(), String> {
         "fleetd: {} hosts x {} counters over {} shards, {} epochs/round",
         opts.cfg.hosts,
         fleet.columns(),
-        opts.cfg.shards,
+        fleet.workers(),
         opts.cfg.epochs_per_round
     );
 

@@ -288,4 +288,35 @@ mod tests {
         let read = REQUEST_LINE.len() + (MAX_HEADERS + 1) * HEADER.len();
         assert_eq!(reader.position(), read as u64);
     }
+
+    /// Request pieces, a line past the cap and a run of headers among
+    /// them, so arbitrary requests reach both refusals.
+    const PIECES: &[&[u8]] = &[
+        b"GET /metrics HTTP/1.1",
+        b"\r\n",
+        b"\n",
+        b"\r",
+        b" ",
+        b"X-Pad: 1\r\n",
+        &[b'a'; 3_000],
+        &[b'\n'; 40],
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_request_reader(
+            picks in proptest::collection::vec((0usize..2 * PIECES.len(), 0u8..=255), 0..256),
+        ) {
+            let mut input = Vec::new();
+            for (pick, raw) in picks {
+                match PIECES.get(pick) {
+                    Some(piece) => input.extend_from_slice(piece),
+                    None => input.push(raw),
+                }
+            }
+            if let Ok(line) = read_request_line(&mut Cursor::new(input)) {
+                proptest::prop_assert!(line.len() as u64 <= 3 * MAX_LINE_BYTES);
+            }
+        }
+    }
 }

@@ -173,10 +173,11 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Partition the hosts into contiguous shards and spawn one worker
-    /// thread per shard, which builds its own hosts. Returns once every
-    /// worker has reported its hosts built; if one reports an error, every
-    /// worker is stopped and joined and the error returned.
+    /// Partition the hosts into contiguous, even shards (one per host at
+    /// most) and spawn one worker thread per shard, which builds its own
+    /// hosts. Returns once every worker has reported its hosts built; if
+    /// one reports an error, every worker is stopped and joined and the
+    /// error returned.
     pub fn launch(cfg: FleetConfig) -> Result<Fleet, String> {
         Fleet::launch_with(cfg, HostSim::new)
     }
@@ -194,7 +195,6 @@ impl Fleet {
         let _s = obs::span!("fleet.launch");
         cfg.validate()?;
         let names = Arc::new(host::counter_names());
-        let per = u64::from(cfg.hosts).div_ceil(u64::from(cfg.shards)).max(1) as u32;
         let (report_tx, rx) = channel();
         let (built_tx, built_rx) = channel();
         let mut fleet = Fleet {
@@ -209,9 +209,7 @@ impl Fleet {
             epochs_total: 0,
             points_total: 0,
         };
-        let mut start = 0u32;
-        while start < fleet.cfg.hosts {
-            let end = start.saturating_add(per).min(fleet.cfg.hosts);
+        for ids in shard_ranges(fleet.cfg.hosts, fleet.cfg.shards) {
             let shard_no = fleet.handles.len();
             let (tx, cmd_rx) = channel();
             let worker_cfg = fleet.cfg.clone();
@@ -225,7 +223,7 @@ impl Fleet {
                     worker_main(
                         worker_cfg,
                         worker_names,
-                        start..end,
+                        ids,
                         worker_build,
                         built,
                         cmd_rx,
@@ -242,7 +240,6 @@ impl Fleet {
                     return Err(format!("cannot spawn shard {shard_no}: {e}"));
                 }
             }
-            start = end;
         }
         // Only the workers hold `built` senders now, each until it has
         // reported, so one that dies before it reports ends the wait
@@ -262,6 +259,11 @@ impl Fleet {
 
     pub fn config(&self) -> &FleetConfig {
         &self.cfg
+    }
+
+    /// Shard workers running: `min(shards, hosts)` of the configuration.
+    pub fn workers(&self) -> usize {
+        self.handles.len()
     }
 
     /// Number of counter columns per host (the full registry).
@@ -406,6 +408,24 @@ impl Fleet {
             let _ = h.join();
         }
     }
+}
+
+/// Split hosts `0..hosts` into `min(shards, hosts)` contiguous ranges in
+/// ascending order whose sizes differ by at most one, the longer first.
+fn shard_ranges(hosts: u32, shards: u32) -> Vec<Range<u32>> {
+    let workers = shards.min(hosts);
+    let (Some(short), Some(long)) = (hosts.checked_div(workers), hosts.checked_rem(workers)) else {
+        return Vec::new();
+    };
+    let mut start = 0;
+    (0..workers)
+        .map(|w| {
+            let end = start + short + u32::from(w < long);
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
 }
 
 /// Serve the scrape endpoint from a named background thread. The server
@@ -624,5 +644,23 @@ mod tests {
         let err = Fleet::launch_with(cfg, build).err();
         assert_eq!(err.as_deref(), Some("host 2 failed to build"));
         assert_eq!(Arc::strong_count(&alive), 1, "a worker is still running");
+    }
+
+    #[test]
+    fn hosts_split_evenly_over_at_most_one_worker_per_host() {
+        let sizes = |hosts, shards| -> Vec<u32> {
+            let ranges = shard_ranges(hosts, shards);
+            let mut next = 0;
+            for r in &ranges {
+                assert_eq!(r.start, next, "ranges tile 0..{hosts} in order");
+                next = r.end;
+            }
+            assert_eq!(next, hosts);
+            ranges.iter().map(|r| r.end - r.start).collect()
+        };
+        assert_eq!(sizes(6, 4), [2, 2, 1, 1]);
+        assert_eq!(sizes(10, 4), [3, 3, 2, 2]);
+        assert_eq!(sizes(128, 2), [64, 64]);
+        assert_eq!(sizes(3, 8), [1, 1, 1]);
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! fleetd always records (`obs::enable()` in `main.rs`), so a span per
 //! simulated op would cost two clock reads and a turn on the recorder
-//! mutex per op, contended by every shard thread. This test turns obs on,
-//! drives a small fleet and a profiled machine, and bounds the spans
-//! recorded per host-epoch by a constant: the per-epoch, per-stage and
-//! per-round spans fit under it, anything per op or per request does not.
-//! It is a test binary of its own, so the process-wide recorder holds only
-//! the spans recorded here.
+//! mutex per op, contended by every shard thread; a metric update per op
+//! would take the registry mutex per op. This test turns obs on, drives a
+//! small fleet and a profiled machine, and bounds the spans recorded and
+//! the metric updates taken per host-epoch by constants: the per-epoch,
+//! per-stage and per-round calls fit under them, anything per op or per
+//! request does not. It is a test binary of its own, so the process-wide
+//! recorder and registry hold only what is recorded here.
 
 use fleetd::shard::Fleet;
 use fleetd::FleetConfig;
@@ -19,8 +20,16 @@ use simarch::{Machine, MachineConfig, MemPolicy, Workload};
 /// per-round fleet spans.
 const MAX_SPANS_PER_HOST_EPOCH: u64 = 32;
 
+/// Metric updates one host-epoch may take: the epoch audit's timing and a
+/// host's share of the per-round fleet metrics.
+const MAX_UPDATES_PER_HOST_EPOCH: u64 = 8;
+
 fn recorded_spans() -> u64 {
     obs::span::phases().iter().map(|p| p.count).sum()
+}
+
+fn metric_updates() -> u64 {
+    obs::metrics::snapshot().updates
 }
 
 #[test]
@@ -42,9 +51,15 @@ fn spans_per_host_epoch_stay_bounded() {
     }
     fleet.shutdown();
     let fleet_spans = recorded_spans();
+    let fleet_updates = metric_updates();
     assert!(
         fleet_spans <= MAX_SPANS_PER_HOST_EPOCH * hosts * rounds,
         "fleet recorded {fleet_spans} spans over {} host-epochs",
+        hosts * rounds
+    );
+    assert!(
+        fleet_updates <= MAX_UPDATES_PER_HOST_EPOCH * hosts * rounds,
+        "fleet took {fleet_updates} metric updates over {} host-epochs",
         hosts * rounds
     );
 
@@ -70,6 +85,11 @@ fn spans_per_host_epoch_stay_bounded() {
     assert!(
         profiled_spans <= MAX_SPANS_PER_HOST_EPOCH * epochs,
         "profiled machine recorded {profiled_spans} spans over {epochs} epochs"
+    );
+    let profiled_updates = metric_updates() - fleet_updates;
+    assert!(
+        profiled_updates <= MAX_UPDATES_PER_HOST_EPOCH * epochs,
+        "profiled machine took {profiled_updates} metric updates over {epochs} epochs"
     );
     assert_eq!(obs::span::dropped_events(), 0);
 }

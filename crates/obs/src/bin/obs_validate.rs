@@ -16,6 +16,15 @@
     clippy::todo,
     clippy::unimplemented
 )]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::integer_division_remainder_used,
+        clippy::disallowed_macros
+    )
+)]
 
 use std::process::ExitCode;
 

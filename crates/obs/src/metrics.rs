@@ -117,6 +117,8 @@ struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, Histogram>,
+    /// Updates taken so far, whatever their kind.
+    updates: u64,
 }
 
 #[expect(
@@ -136,6 +138,7 @@ pub fn counter_add(name: &str, delta: u64) {
         return;
     }
     with_registry(|r| {
+        r.updates += 1;
         if let Some(v) = r.counters.get_mut(name) {
             *v += delta;
         } else {
@@ -150,6 +153,7 @@ pub fn gauge_set(name: &str, value: f64) {
         return;
     }
     with_registry(|r| {
+        r.updates += 1;
         r.gauges.insert(name.to_string(), value);
     });
 }
@@ -160,6 +164,7 @@ pub fn observe(name: &str, value: u64) {
         return;
     }
     with_registry(|r| {
+        r.updates += 1;
         if let Some(h) = r.hists.get_mut(name) {
             h.record(value);
         } else {
@@ -185,6 +190,9 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,
     pub hists: Vec<(String, HistSnapshot)>,
+    /// Counter, gauge and histogram updates taken since the last
+    /// [`reset`]: each one is a turn on the registry lock.
+    pub updates: u64,
 }
 
 pub fn snapshot() -> MetricsSnapshot {
@@ -196,6 +204,7 @@ pub fn snapshot() -> MetricsSnapshot {
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect(),
+        updates: r.updates,
     })
 }
 

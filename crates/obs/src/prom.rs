@@ -21,8 +21,10 @@
 //! `scripts/tier1.sh` can gate the fleetd smoke run on a well-formed
 //! scrape.
 //!
-//! Like the rest of this crate the module is a pflint `panic-freedom`
-//! root: no indexing, no slicing, no unchecked division.
+//! Like the rest of this crate the module is panic-free: clippy denies
+//! indexing, slicing, integer division and release asserts in it
+//! (`lib.rs`), and `tests/hostile_input.rs` feeds [`validate`] arbitrary
+//! bytes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;

@@ -73,7 +73,6 @@ impl<V: Copy + Default> LineMap<V> {
     }
 
     /// Slot index of `key`, if present.
-    // pflint::hot
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
         debug_assert_ne!(key, EMPTY);
@@ -90,13 +89,11 @@ impl<V: Copy + Default> LineMap<V> {
         }
     }
 
-    // pflint::hot
     #[inline]
     pub fn get(&self, key: u64) -> Option<V> {
         self.find(key).map(|i| self.vals[i])
     }
 
-    // pflint::hot
     #[inline]
     pub fn contains_key(&self, key: u64) -> bool {
         self.find(key).is_some()
@@ -104,7 +101,6 @@ impl<V: Copy + Default> LineMap<V> {
 
     /// Insert or overwrite; returns the previous value if the key was
     /// present. Grows (the only allocation) at 1/2 load.
-    // pflint::hot
     pub fn insert(&mut self, key: u64, val: V) -> Option<V> {
         debug_assert_ne!(key, EMPTY);
         if (self.len + 1) * 2 > self.keys.len() {
@@ -130,7 +126,6 @@ impl<V: Copy + Default> LineMap<V> {
 
     /// Remove `key`, closing the probe chain by backward-shift deletion
     /// (no tombstones, so probe lengths never degrade over a long run).
-    // pflint::hot
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let i = self.find(key)?;
         let prev = self.vals[i];
@@ -234,7 +229,7 @@ impl OpRing {
 
     /// Append one decoded op. Amortized allocation-free: the backing
     /// vectors keep their chunk-sized capacity across refills.
-    // pflint::hot — chunk refill of the per-op pull.
+    // Chunk refill of the per-op pull.
     #[inline]
     pub fn push(&mut self, op: crate::request::MemOp) {
         use crate::request::AccessKind;
@@ -253,7 +248,7 @@ impl OpRing {
     }
 
     /// The next buffered op, front-to-back.
-    // pflint::hot — the per-op pull.
+    // The per-op pull.
     #[inline]
     pub fn pop(&mut self) -> Option<crate::request::MemOp> {
         use crate::request::{AccessKind, MemOp};
@@ -309,13 +304,11 @@ impl RequestPool {
     }
 
     /// Completion cycle of the in-flight request on `line`, if any.
-    // pflint::hot
     #[inline]
     pub fn get(&self, line: u64) -> Option<u64> {
         self.index.get(line).map(|s| self.finishes[s as usize])
     }
 
-    // pflint::hot
     #[inline]
     pub fn contains(&self, line: u64) -> bool {
         self.index.contains_key(line)
@@ -323,7 +316,6 @@ impl RequestPool {
 
     /// Track (or refresh) an in-flight request. A request already in
     /// flight on the line keeps its slot; only the finish time moves.
-    // pflint::hot
     pub fn insert(&mut self, line: u64, finish: u64) {
         if let Some(slot) = self.index.get(line) {
             self.finishes[slot as usize] = finish;
@@ -347,7 +339,6 @@ impl RequestPool {
 
     /// Free every request that completed at or before `now`. The sweep is
     /// order-independent, so pool reuse cannot perturb determinism.
-    // pflint::hot
     pub fn gc(&mut self, now: u64) {
         for slot in 0..self.lines.len() {
             let line = self.lines[slot];

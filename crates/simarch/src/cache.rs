@@ -124,7 +124,7 @@ impl<P: Copy + Default> SetAssocCache<P> {
     }
 
     /// Look a line up, touching LRU on hit.
-    // pflint::hot — per-access path; must not allocate.
+    // Per-access path; must not allocate.
     pub fn lookup(&mut self, line_addr: u64) -> Option<&mut Line<P>> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
@@ -136,7 +136,7 @@ impl<P: Copy + Default> SetAssocCache<P> {
     }
 
     /// Look a line up without touching LRU (snoops, probes).
-    // pflint::hot — per-snoop path; must not allocate.
+    // Per-snoop path; must not allocate.
     pub fn peek(&self, line_addr: u64) -> Option<&Line<P>> {
         let set = self.set_of(line_addr);
         self.lines[self.set_range(set)]
@@ -145,7 +145,7 @@ impl<P: Copy + Default> SetAssocCache<P> {
     }
 
     /// Mutable [`Self::peek`]: LRU order is left as it is.
-    // pflint::hot — per-spill path; must not allocate.
+    // Per-spill path; must not allocate.
     pub fn peek_mut(&mut self, line_addr: u64) -> Option<&mut Line<P>> {
         let set = self.set_of(line_addr);
         let r = self.set_range(set);
@@ -154,7 +154,7 @@ impl<P: Copy + Default> SetAssocCache<P> {
 
     /// Insert (or overwrite) a line, evicting LRU if the set is full. An
     /// overwritten line keeps its payload; a new one starts at the default.
-    // pflint::hot — per-fill path; must not allocate.
+    // Per-fill path; must not allocate.
     pub fn insert(
         &mut self,
         line_addr: u64,
@@ -166,7 +166,7 @@ impl<P: Copy + Default> SetAssocCache<P> {
 
     /// [`Self::insert`], then apply `update` to the line's payload, all in
     /// one scan of the set.
-    // pflint::hot — per-fill path; must not allocate.
+    // Per-fill path; must not allocate.
     pub fn insert_with(
         &mut self,
         line_addr: u64,

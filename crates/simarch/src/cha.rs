@@ -223,7 +223,6 @@ impl ChaComplex {
 
     /// Remove the cores in `cores` from `line`'s owners, without touching
     /// LRU, and return those that were owners.
-    // pflint::hot
     pub(crate) fn take_owners(&mut self, line: u64, cores: u64) -> u64 {
         let s = slice_of(line, self.slices.len());
         self.slices[s].llc.peek_mut(line).map_or(0, |l| {
@@ -322,7 +321,6 @@ impl ChaComplex {
 
     /// Epoch-boundary counter flush: clock ticks and per-class threshold1
     /// coverage (Total scenarios).
-    // pflint::hot
     pub fn sync_counters(&mut self, bank: &mut Bank<ChaEvent>, epoch_cycles: u64) {
         bank.add(ChaEvent::ClockTicks, epoch_cycles);
         for class in [
@@ -359,10 +357,8 @@ impl crate::module::SimModule for ChaComplex {
         "module.cha"
     }
 
-    // pflint::hot
     fn tick(&mut self, _until: u64) {}
 
-    // pflint::hot
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         self.sync_counters(&mut pmu.chas[0], epoch_cycles);
     }

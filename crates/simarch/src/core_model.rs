@@ -101,7 +101,6 @@ impl Default for GroundTruth {
 }
 
 impl GroundTruth {
-    // pflint::hot
     #[inline]
     pub fn record_served(&mut self, path: PathClass, loc: ServeLoc, latency: u64) {
         let e = &mut self.served[path.idx()][loc.idx()];
@@ -109,7 +108,6 @@ impl GroundTruth {
         e.1 += latency;
     }
 
-    // pflint::hot
     pub fn add_queue_delay(&mut self, component: &'static str, cycles: u64) {
         for (name, total) in &mut self.queue_delay {
             if *name == component {
@@ -234,7 +232,6 @@ impl CoreState {
     }
 
     /// Drop completed entries from the in-flight pools (cheap, amortised).
-    // pflint::hot
     pub fn gc_inflight(&mut self) {
         let now = self.time;
         if self.inflight.len() > 64 {
@@ -274,7 +271,6 @@ impl CoreState {
     }
 
     /// Flush coverage counters into the PMU bank (epoch boundary).
-    // pflint::hot
     pub fn sync_counters(&mut self, bank: &mut Bank<CoreEvent>, epoch_cycles: u64) {
         bank.add(CoreEvent::CpuClkUnhalted, epoch_cycles);
         self.cov_l1d_miss
@@ -299,7 +295,6 @@ impl crate::module::SimModule for CoreState {
         "module.core"
     }
 
-    // pflint::hot
     fn tick(&mut self, until: u64) {
         if self.time < until {
             self.time = until;
@@ -307,7 +302,6 @@ impl crate::module::SimModule for CoreState {
         self.gc_inflight();
     }
 
-    // pflint::hot
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         self.sync_counters(&mut pmu.cores[self.id], epoch_cycles);
     }

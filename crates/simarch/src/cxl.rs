@@ -319,7 +319,6 @@ impl CxlPort {
 
     /// Flush coverage/full accumulators into the free-running counters at an
     /// epoch boundary.
-    // pflint::hot
     pub fn sync_counters(
         &mut self,
         m2p: &mut Bank<M2pEvent>,
@@ -359,10 +358,8 @@ impl crate::module::SimModule for CxlPort {
         "module.cxl"
     }
 
-    // pflint::hot
     fn tick(&mut self, _until: u64) {}
 
-    // pflint::hot
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         let pmu::SystemPmu { m2ps, cxls, .. } = pmu;
         self.sync_counters(&mut m2ps[self.dev], &mut cxls[self.dev], epoch_cycles);

@@ -124,7 +124,7 @@ impl Machine {
     /// time from the trace when it runs dry. `None` means the trace
     /// finished. Traces are pure generators, so decoding ahead never
     /// changes which op executes next.
-    // pflint::hot — the per-op pull.
+    // The per-op pull.
     fn next_op(&mut self, c: usize) -> Option<MemOp> {
         if let Some(op) = self.rings[c].pop() {
             return Some(op);

@@ -19,6 +19,7 @@
 
 use crate::config::MachineConfig;
 use crate::faults::{FaultClass, FaultPlan};
+use crate::invariants::{Invariants, QueueCensus, Violation};
 use crate::machine::{EpochResult, Machine};
 use crate::pooled::PooledDevice;
 use crate::queues::FifoServer;
@@ -110,6 +111,9 @@ pub struct Fabric {
     pub pmu: SystemPmu,
     faults: FaultPlan,
     epochs_run: u64,
+    /// The queues `Fabric::new` built beside its hosts' own, all of which
+    /// the fabric audit visits.
+    census: QueueCensus,
 }
 
 impl Fabric {
@@ -124,7 +128,9 @@ impl Fabric {
             })
             .collect();
         let prev = hosts.iter().map(|m| m.pmu.snapshot(0)).collect();
-        Fabric {
+        // Each host counts and audits its own queues.
+        let mark = QueueCensus::mark();
+        let fabric = Fabric {
             switch: CxlSwitch::new(
                 fcfg.hosts,
                 fcfg.link_latency,
@@ -142,9 +148,14 @@ impl Fabric {
             pmu: SystemPmu::fabric(fcfg.hosts),
             faults: FaultPlan::new(),
             epochs_run: 0,
+            census: QueueCensus::default(),
             hosts,
             cfg,
             fcfg,
+        };
+        Fabric {
+            census: QueueCensus::since(mark),
+            ..fabric
         }
     }
 
@@ -284,11 +295,7 @@ impl Fabric {
         }
         self.epochs_run += 1;
         #[cfg(any(debug_assertions, feature = "invariants"))]
-        {
-            crate::invariants::assert_invariants(&self.switch);
-            crate::invariants::assert_invariants(&self.pool);
-            crate::invariants::assert_invariants(self);
-        }
+        crate::invariants::assert_invariants(self);
         let all_done = self.all_done();
         FabricEpochResult {
             hosts: results,
@@ -314,16 +321,26 @@ impl Fabric {
     }
 }
 
-/// Fabric-level flow balance (per-host machines audit themselves): every
-/// port's ingress must be granted, every grant must land as exactly one
-/// pooled CAS — see `conservation::fabric_conservation`.
-impl crate::invariants::Invariants for Fabric {
+/// The fabric's own queues and its flow balance (per-host machines audit
+/// themselves): the switch, the pooled device, every host's private
+/// replica, and `conservation::fabric_conservation` — every port's
+/// ingress must be granted, every grant must land as exactly one pooled
+/// CAS.
+impl Invariants for Fabric {
     fn component(&self) -> &'static str {
         "fabric::Fabric"
     }
 
-    fn collect_violations(&self, out: &mut Vec<crate::invariants::Violation>) {
+    fn collect_violations(&self, out: &mut Vec<Violation>) {
+        let visits = QueueCensus::visits();
+        self.switch.collect_violations(out);
+        self.pool.collect_violations(out);
+        for replica in &self.alone {
+            replica.link.collect_violations(out);
+            replica.mc.collect_violations(out);
+        }
         crate::conservation::fabric_conservation(&self.pmu, out);
+        self.census.check(self.component(), visits, out);
     }
 }
 
@@ -367,6 +384,20 @@ mod tests {
             assert_eq!(inserts, grants);
             assert_eq!(grants, cas);
         }
+    }
+
+    /// The fabric audit visits every queue the fabric built beside its
+    /// hosts: the switch link, the pooled MC, and each host's two private
+    /// replica servers.
+    #[test]
+    #[cfg(any(debug_assertions, feature = "invariants"))]
+    fn fabric_audit_visits_every_queue_it_built() {
+        let mut f = two_host_fabric();
+        f.run_epoch();
+        assert_eq!(f.census.built(), 2 + 2 * 2);
+        let mut v = Vec::new();
+        f.collect_violations(&mut v);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

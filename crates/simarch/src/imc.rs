@@ -91,7 +91,6 @@ impl Imc {
 
     /// Flush the cycles-non-empty coverage into the free-running PMU
     /// counters. Called at every epoch boundary before the snapshot.
-    // pflint::hot
     pub fn sync_counters(&mut self, banks: &mut [Bank<ImcEvent>], epoch_cycles: u64) {
         for (ch, channel) in self.channels.iter().enumerate() {
             let bank = &mut banks[ch];
@@ -115,10 +114,8 @@ impl crate::module::SimModule for Imc {
         "module.imc"
     }
 
-    // pflint::hot
     fn tick(&mut self, _until: u64) {}
 
-    // pflint::hot
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         self.sync_counters(&mut pmu.imcs, epoch_cycles);
     }

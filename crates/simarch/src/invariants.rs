@@ -7,10 +7,18 @@
 //! [`crate::Machine`] audits the whole hierarchy at every epoch boundary
 //! when built with `debug_assertions` or `--features invariants`.
 //!
-//! The `pflint` static-analysis pass verifies at CI time that every module
-//! declaring a `FifoServer`, `Coverage` or `BoundedWindow` field also
-//! registers an `impl Invariants for` hook, so new components cannot
-//! silently opt out.
+//! The audit-coverage law keeps a component from silently opting out:
+//! every queue ([`FifoServer`], [`Coverage`], [`BoundedWindow`]) that
+//! `Machine::new` or `Fabric::new` builds is visited by that owner's epoch
+//! audit. Debug and `invariants` builds count, per thread, each queue
+//! built (by `new`, `Default` or `Clone`) and each queue audited; an owner
+//! keeps the count its constructor built as a `QueueCensus`, and its
+//! audit reports a violation unless it visited exactly that many. Release
+//! builds count nothing, so the law holds trivially there.
+//!
+//! [`FifoServer`]: crate::queues::FifoServer
+//! [`Coverage`]: crate::queues::Coverage
+//! [`BoundedWindow`]: crate::queues::BoundedWindow
 
 /// One violated conservation law.
 #[derive(Clone, Debug)]
@@ -50,6 +58,112 @@ pub fn assert_invariants(c: &dyn Invariants) {
             "conservation invariant(s) violated in {}:\n  {}",
             c.component(),
             lines.join("\n  ")
+        );
+    }
+}
+
+/// Per-thread counts of queues built and queues audited.
+#[cfg(any(debug_assertions, feature = "invariants"))]
+pub(crate) mod census {
+    use std::cell::Cell;
+
+    thread_local! {
+        static BUILT: Cell<u64> = const { Cell::new(0) };
+        static VISITED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn built() -> u64 {
+        BUILT.get()
+    }
+
+    pub(crate) fn visited() -> u64 {
+        VISITED.get()
+    }
+
+    /// Count one queue audit; each queue's `collect_violations` calls it.
+    pub(crate) fn visit() {
+        VISITED.set(VISITED.get() + 1);
+    }
+
+    /// A field of every queue type: building or cloning the queue counts
+    /// it as built.
+    #[derive(Debug)]
+    pub(crate) struct Counted;
+
+    impl Counted {
+        pub(crate) fn new() -> Counted {
+            BUILT.set(BUILT.get() + 1);
+            Counted
+        }
+    }
+
+    impl Default for Counted {
+        fn default() -> Counted {
+            Counted::new()
+        }
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            Counted::new()
+        }
+    }
+}
+
+/// Release builds count nothing.
+#[cfg(not(any(debug_assertions, feature = "invariants")))]
+pub(crate) mod census {
+    pub(crate) fn built() -> u64 {
+        0
+    }
+
+    pub(crate) fn visited() -> u64 {
+        0
+    }
+
+    pub(crate) fn visit() {}
+}
+
+/// The queues an owner's constructor built on this thread.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct QueueCensus {
+    built: u64,
+}
+
+impl QueueCensus {
+    /// Queues built so far on this thread: read it before the owner's
+    /// constructor runs, then take [`QueueCensus::since`].
+    pub(crate) fn mark() -> u64 {
+        census::built()
+    }
+
+    pub(crate) fn since(mark: u64) -> QueueCensus {
+        QueueCensus {
+            built: census::built() - mark,
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn built(self) -> u64 {
+        self.built
+    }
+
+    /// Queue audits so far on this thread: read it before the owner's
+    /// audit runs, then [`QueueCensus::check`].
+    pub(crate) fn visits() -> u64 {
+        census::visited()
+    }
+
+    /// The law: report a violation of `component` unless its audit, since
+    /// `visits`, visited exactly the queues its constructor built.
+    pub(crate) fn check(self, component: &'static str, visits: u64, out: &mut Vec<Violation>) {
+        let visited = census::visited() - visits;
+        crate::invariant!(
+            out,
+            component,
+            visited == self.built,
+            "audit visited {visited} queues, the constructor built {}",
+            self.built
         );
     }
 }
@@ -104,6 +218,30 @@ mod tests {
     #[should_panic(expected = "conservation invariant")]
     fn broken_component_panics_with_detail() {
         assert_invariants(&Broken);
+    }
+
+    /// An owner whose audit skips one of its queues breaks the law.
+    #[test]
+    #[cfg(any(debug_assertions, feature = "invariants"))]
+    fn an_audit_that_skips_a_queue_is_a_violation() {
+        use crate::queues::{BoundedWindow, FifoServer};
+        let mark = QueueCensus::mark();
+        let (server, window) = (FifoServer::new(), BoundedWindow::new(2));
+        let census = QueueCensus::since(mark);
+        let mut out = Vec::new();
+        let visits = QueueCensus::visits();
+        server.collect_violations(&mut out);
+        window.collect_violations(&mut out);
+        census.check("test::Owner", visits, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        let visits = QueueCensus::visits();
+        server.collect_violations(&mut out);
+        census.check("test::Owner", visits, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            out[0].to_string(),
+            "test::Owner: audit visited 1 queues, the constructor built 2"
+        );
     }
 
     #[test]

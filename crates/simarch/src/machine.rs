@@ -19,7 +19,7 @@ use crate::cxl::CxlPort;
 use crate::faults::{FaultClass, FaultPlan};
 use crate::imc::Imc;
 use crate::invariant;
-use crate::invariants::{Invariants, Violation};
+use crate::invariants::{Invariants, QueueCensus, Violation};
 use crate::mem::MemNode;
 use crate::module::{SimModule, StageId, StageKind};
 use crate::remote::RemoteSocket;
@@ -156,6 +156,8 @@ pub struct Machine {
     /// [`Machine::recycle_snapshot`]. The next `run_epoch` overwrites it in
     /// place instead of cloning every bank afresh.
     spare_snapshot: Option<SystemSnapshot>,
+    /// The queues `Machine::new` built, all of which the audit visits.
+    census: QueueCensus,
 }
 
 /// All stage modules in ascending stage-id (= drain) order, as trait
@@ -187,7 +189,8 @@ impl Machine {
             cfg.cxl_devices,
             cfg.cxl_devices,
         );
-        Machine {
+        let mark = QueueCensus::mark();
+        let machine = Machine {
             pmu,
             cores: (0..cfg.cores).map(|i| CoreState::new(i, &cfg)).collect(),
             cha: ChaComplex::new(&cfg),
@@ -212,7 +215,12 @@ impl Machine {
                 .map(|_| crate::arena::OpRing::new())
                 .collect(),
             spare_snapshot: None,
+            census: QueueCensus::default(),
             cfg,
+        };
+        Machine {
+            census: QueueCensus::since(mark),
+            ..machine
         }
     }
 
@@ -507,7 +515,7 @@ impl Machine {
     /// The slice is exact because stepping a core never moves another
     /// core's time, so the scan's runner-up stays the runner-up until the
     /// chosen core passes it.
-    // pflint::hot — the simulator's innermost scheduling loop.
+    // The simulator's innermost scheduling loop.
     fn step_until(&mut self, end: u64) {
         loop {
             let mut first: Option<(u64, usize)> = None;
@@ -579,6 +587,7 @@ impl Invariants for Machine {
     }
 
     fn collect_violations(&self, out: &mut Vec<Violation>) {
+        let visits = QueueCensus::visits();
         for core in &self.cores {
             core.collect_violations(out);
         }
@@ -613,6 +622,7 @@ impl Invariants for Machine {
             );
         }
         crate::conservation::pmu_conservation(self.host, &self.pmu, out);
+        self.census.check(self.component(), visits, out);
     }
 }
 

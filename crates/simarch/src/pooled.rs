@@ -97,10 +97,8 @@ impl crate::module::SimModule for PooledDevice {
         "module.cxlpool"
     }
 
-    // pflint::hot
     fn tick(&mut self, _until: u64) {}
 
-    // pflint::hot
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         for (h, st) in self.stats.iter_mut().enumerate() {
             let bank = &mut pmu.pools[h];

@@ -19,7 +19,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::invariant;
-use crate::invariants::{Invariants, Violation};
+use crate::invariants::{census, Invariants, Violation};
 
 /// A FIFO server with deterministic service time and issue gap.
 #[derive(Clone, Debug, Default)]
@@ -31,6 +31,8 @@ pub struct FifoServer {
     queue_delay: u64,
     /// Requests served.
     served: u64,
+    #[cfg(any(debug_assertions, feature = "invariants"))]
+    _counted: census::Counted,
 }
 
 /// The outcome of offering a request to a [`FifoServer`].
@@ -104,6 +106,7 @@ impl Invariants for FifoServer {
     }
 
     fn collect_violations(&self, out: &mut Vec<Violation>) {
+        census::visit();
         // Work conservation: the server cannot have been busy for longer
         // than its issue horizon (idle gaps only push next_free further).
         invariant!(
@@ -135,6 +138,8 @@ impl Invariants for FifoServer {
 pub struct Coverage {
     covered: u64,
     covered_until: u64,
+    #[cfg(any(debug_assertions, feature = "invariants"))]
+    _counted: census::Counted,
 }
 
 impl Coverage {
@@ -168,6 +173,7 @@ impl Invariants for Coverage {
     }
 
     fn collect_violations(&self, out: &mut Vec<Violation>) {
+        census::visit();
         // A union of intervals inside [0, covered_until) can never cover
         // more than covered_until cycles.
         invariant!(
@@ -190,6 +196,8 @@ pub struct BoundedWindow {
     committed: u64,
     /// Entries retired (completed and dropped) over the window's lifetime.
     retired: u64,
+    #[cfg(any(debug_assertions, feature = "invariants"))]
+    _counted: census::Counted,
 }
 
 /// Result of acquiring a window slot.
@@ -209,6 +217,8 @@ impl BoundedWindow {
             inflight: BinaryHeap::new(),
             committed: 0,
             retired: 0,
+            #[cfg(any(debug_assertions, feature = "invariants"))]
+            _counted: census::Counted::new(),
         }
     }
 
@@ -284,6 +294,7 @@ impl Invariants for BoundedWindow {
     }
 
     fn collect_violations(&self, out: &mut Vec<Violation>) {
+        census::visit();
         // Flow conservation: every entry ever committed is either retired
         // or still in flight — the window neither creates nor loses them.
         invariant!(

@@ -43,10 +43,8 @@ impl SimModule for RemoteSocket {
         "module.remote"
     }
 
-    // pflint::hot
     fn tick(&mut self, _until: u64) {}
 
-    // pflint::hot
     fn drain(&mut self, _pmu: &mut SystemPmu, _epoch_cycles: u64) {
         // The remote socket's PMU belongs to the other socket; nothing to
         // flush into this one.

@@ -261,10 +261,8 @@ impl crate::module::SimModule for CxlSwitch {
         "module.cxlsw"
     }
 
-    // pflint::hot
     fn tick(&mut self, _until: u64) {}
 
-    // pflint::hot
     fn drain(&mut self, pmu: &mut pmu::SystemPmu, epoch_cycles: u64) {
         for (p, st) in self.stats.iter_mut().enumerate() {
             let bank = &mut pmu.switches[p];

@@ -29,7 +29,7 @@ pub trait TraceSource: Send {
     /// per chunk. Default methods are monomorphized per implementing type,
     /// so the `next_op` calls *inside* this body dispatch statically even
     /// when invoked through the trait object.
-    // pflint::hot — chunk refill of the machine's per-op pull.
+    // Chunk refill of the machine's per-op pull.
     fn fill_ops(&mut self, ring: &mut OpRing, max: usize) -> usize {
         let mut n = 0;
         while n < max {

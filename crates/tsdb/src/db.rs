@@ -201,7 +201,6 @@ impl Db {
     /// insertion, no per-record allocation once capacity is reserved
     /// ([`Db::reserve`]). A timestamp below its predecessor is kept and
     /// sorted lazily on query.
-    // pflint::hot
     pub fn ingest(&mut self, id: SeriesId, ts: u64, values: &[f64]) {
         let s = &mut self.series[id.index()];
         assert_eq!(

@@ -2,8 +2,7 @@
 # Tier-1 gate: everything CI (and a reviewer) requires before merge.
 # Runs the release build, the full test suite, formatting, clippy over all
 # targets with warnings denied (the root clippy.toml and the workspace
-# lints), rustdoc with warnings denied, and the pflint static-analysis pass
-# (STATIC_ANALYSIS.md).
+# lints; STATIC_ANALYSIS.md), and rustdoc with warnings denied.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +29,6 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: every intra-doc link resolves and no public doc links a
 # private item, so a deleted or renamed item cannot leave a dangling link.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-run cargo run --release -p pflint
 
 # Observability acceptance (OBSERVABILITY.md): a figure run with
 # --timings-json must emit valid pathfinder-obs-v1 JSON containing the two
