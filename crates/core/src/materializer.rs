@@ -7,6 +7,8 @@
 //! trend/seasonality via Holt-Winters → cross-application correlation via
 //! Pearson's r.
 
+use std::cell::RefCell;
+
 use crate::builder::PathMap;
 use crate::model::{Component, HitLevel, PathGroup};
 use tsdb::{ops, tsa, Db, SeriesId};
@@ -24,12 +26,29 @@ struct AppHandles {
     progress: Vec<SeriesId>,
 }
 
+/// Row buffers the analysis reads reuse from call to call. A steady-state
+/// analysis pass then allocates none of them, so it neither returns them
+/// to the OS between passes nor faults them back in.
+#[derive(Default)]
+struct Scratch {
+    /// One query's rows per path, before the per-timestamp merge.
+    per_path: [Vec<(u64, f64)>; PathGroup::COUNT],
+    /// Up to two series of one read: a scope, or the two sides of a
+    /// correlation.
+    series: [Vec<(u64, f64)>; 2],
+    /// Values without timestamps: one series, or the paired samples of a
+    /// correlation.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+}
+
 /// The materializer: a DB plus ingestion and analysis workflows.
 #[derive(Default)]
 pub struct Materializer {
     pub db: Db,
     app_handles: Option<AppHandles>,
     vertex_handles: Option<[[SeriesId; Component::COUNT]; PathGroup::COUNT]>,
+    scratch: RefCell<Scratch>,
 }
 
 impl Materializer {
@@ -152,37 +171,82 @@ impl Materializer {
     /// PathFinder's "query scope" step: the four per-path series summed
     /// per timestamp, in time order.
     pub fn hit_series(&self, core: usize, level: HitLevel) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        self.hit_series_into(
+            core,
+            level,
+            &mut self.scratch.borrow_mut().per_path,
+            &mut out,
+        );
+        out
+    }
+
+    /// [`Materializer::hit_series`] into `out`, with `per_path` as the
+    /// per-path query buffers.
+    fn hit_series_into(
+        &self,
+        core: usize,
+        level: HitLevel,
+        per_path: &mut [Vec<(u64, f64)>; PathGroup::COUNT],
+        out: &mut Vec<(u64, f64)>,
+    ) {
         let core = core.to_string();
-        let per_path = PathGroup::ALL.map(|p| {
+        for (p, rows) in PathGroup::ALL.into_iter().zip(per_path.iter_mut()) {
             self.db
                 .from("path_set")
                 .filter("core", core.as_str())
                 .filter("dst", level.label())
                 .filter("path", p.label())
-                .values("hits")
-        });
-        sum_per_ts(&per_path)
+                .values_into("hits", rows);
+        }
+        sum_per_ts(per_path, out);
+    }
+
+    /// Run `f` on the scope's hit series and its values alone.
+    fn with_hit_series<T>(
+        &self,
+        core: usize,
+        level: HitLevel,
+        f: impl FnOnce(&[(u64, f64)], &[f64]) -> T,
+    ) -> T {
+        let s = &mut *self.scratch.borrow_mut();
+        let [series, _] = &mut s.series;
+        self.hit_series_into(core, level, &mut s.per_path, series);
+        values_of(series, &mut s.xs);
+        f(series, &s.xs)
+    }
+
+    /// Run `f` on one core's ops series and its values alone.
+    fn with_ops_series<T>(&self, core: usize, f: impl FnOnce(&[(u64, f64)], &[f64]) -> T) -> T {
+        let s = &mut *self.scratch.borrow_mut();
+        let [series, _] = &mut s.series;
+        self.ops_series_into(core, series);
+        values_of(series, &mut s.xs);
+        f(series, &s.xs)
     }
 
     /// Phase windows of consistent locality for a (core, level) scope —
     /// Case 6's "windows with stable memory access patterns".
     pub fn locality_windows(&self, core: usize, level: HitLevel) -> Vec<tsa::Window> {
-        let series = self.hit_series(core, level);
-        let data: Vec<f64> = series.iter().map(|&(_, v)| v).collect();
-        tsa::cluster_windows(&data, 0.25, 1.0)
+        self.with_hit_series(core, level, |_, data| tsa::cluster_windows(data, 0.25, 1.0))
     }
 
     /// Summary statistics of a scope (min/max/mean/moving-average tail).
     pub fn scope_stats(&self, core: usize, level: HitLevel) -> Option<(f64, f64, f64)> {
-        let series = self.hit_series(core, level);
-        Some((ops::min(&series)?, ops::max(&series)?, ops::mean(&series)?))
+        self.with_hit_series(core, level, |series, _| {
+            Some((ops::min(series)?, ops::max(series)?, ops::mean(series)?))
+        })
     }
 
     /// Pearson correlation between two cores' hit series at a level, on the
     /// overlapping snapshots (Case 6: identify locality-impacting factors
     /// from co-located applications).
     pub fn correlate_cores(&self, a: usize, b: usize, level: HitLevel) -> Option<f64> {
-        pearson_on_shared_ts(&self.hit_series(a, level), &self.hit_series(b, level))
+        let s = &mut *self.scratch.borrow_mut();
+        let [sa, sb] = &mut s.series;
+        self.hit_series_into(a, level, &mut s.per_path, sa);
+        self.hit_series_into(b, level, &mut s.per_path, sb);
+        pearson_on_shared_ts(sa, sb, &mut s.xs, &mut s.ys)
     }
 
     /// Pearson correlation between two arbitrary aligned samples — Case 5
@@ -196,31 +260,35 @@ impl Materializer {
     /// Holt-Winters relative fit error — small values indicate regular,
     /// forecastable access patterns (§4.6 step 4).
     pub fn predictability(&self, core: usize, level: HitLevel, season: usize) -> Option<f64> {
-        let series = self.hit_series(core, level);
-        let data: Vec<f64> = series.iter().map(|&(_, v)| v).collect();
-        let hw = tsa::HoltWinters::new(season);
-        let err = hw.fit_error(&data)?;
-        let sd = ops::stddev(&series)?;
-        if sd == 0.0 {
-            return Some(0.0);
-        }
-        Some(err / sd)
+        self.with_hit_series(core, level, |series, data| {
+            let hw = tsa::HoltWinters::new(season);
+            let err = hw.fit_error(data)?;
+            let sd = ops::stddev(series)?;
+            if sd == 0.0 {
+                return Some(0.0);
+            }
+            Some(err / sd)
+        })
     }
 
     /// The per-epoch ops series of one core (`app` measurement).
     pub fn ops_series(&self, core: usize) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        self.ops_series_into(core, &mut out);
+        out
+    }
+
+    fn ops_series_into(&self, core: usize, out: &mut Vec<(u64, f64)>) {
         self.db
             .from("app")
             .filter("core", core.to_string())
-            .values("ops")
+            .values_into("ops", out);
     }
 
     /// Compute-burst windows (§4.6: "computing burst"): phases of consistent
     /// execution throughput, found by clustering the per-epoch ops series.
     pub fn burst_windows(&self, core: usize) -> Vec<tsa::Window> {
-        let series = self.ops_series(core);
-        let data: Vec<f64> = series.iter().map(|&(_, v)| v).collect();
-        tsa::cluster_windows(&data, 0.25, 1.0)
+        self.with_ops_series(core, |_, data| tsa::cluster_windows(data, 0.25, 1.0))
     }
 
     /// Execution orthogonality (§4.6): do two co-located applications
@@ -228,7 +296,11 @@ impl Materializer {
     /// contend (r < 0)? Pearson correlation of the two cores' per-epoch ops
     /// on the overlapping snapshots.
     pub fn orthogonality(&self, a: usize, b: usize) -> Option<f64> {
-        pearson_on_shared_ts(&self.ops_series(a), &self.ops_series(b))
+        let s = &mut *self.scratch.borrow_mut();
+        let [sa, sb] = &mut s.series;
+        self.ops_series_into(a, sa);
+        self.ops_series_into(b, sb);
+        pearson_on_shared_ts(sa, sb, &mut s.xs, &mut s.ys)
     }
 
     /// Spatial-locality digest (§4.6: "spatial data locality"): given one
@@ -266,14 +338,15 @@ impl Materializer {
     }
 }
 
-/// Sum time-sorted series per timestamp in one k-way merge. Each sum
-/// starts from `0.0` and adds series by series in slice order, rows in
-/// series order, as accumulating whole series one after another into
-/// per-timestamp totals would, so every sum has that order's bits for any
-/// `f64`.
-fn sum_per_ts(series: &[Vec<(u64, f64)>]) -> Vec<(u64, f64)> {
-    let mut heads = vec![0usize; series.len()];
-    let mut out = Vec::with_capacity(series.iter().map(Vec::len).max().unwrap_or(0));
+/// Sum time-sorted series per timestamp in one k-way merge, into `out`.
+/// Each sum starts from `0.0` and adds series by series in slice order,
+/// rows in series order, as accumulating whole series one after another
+/// into per-timestamp totals would, so every sum has that order's bits for
+/// any `f64`.
+fn sum_per_ts(series: &[Vec<(u64, f64)>; PathGroup::COUNT], out: &mut Vec<(u64, f64)>) {
+    let mut heads = [0usize; PathGroup::COUNT];
+    out.clear();
+    out.reserve(series.iter().map(Vec::len).max().unwrap_or(0));
     while let Some(ts) = series
         .iter()
         .zip(&heads)
@@ -289,16 +362,26 @@ fn sum_per_ts(series: &[Vec<(u64, f64)>]) -> Vec<(u64, f64)> {
         }
         out.push((ts, sum));
     }
-    out
+}
+
+/// `series`' values, in order, into `out`.
+fn values_of(series: &[(u64, f64)], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(series.iter().map(|&(_, v)| v));
 }
 
 /// Pearson's r over the snapshots two time-sorted series share, in one
 /// merge-join: each row of `a` pairs with the last row of `b` at its
 /// timestamp, if `b` has one (a later row of `b` at a timestamp supersedes
-/// an earlier one).
-fn pearson_on_shared_ts(a: &[(u64, f64)], b: &[(u64, f64)]) -> Option<f64> {
-    let mut xs = Vec::with_capacity(a.len());
-    let mut ys = Vec::with_capacity(a.len());
+/// an earlier one). `xs` and `ys` hold the paired samples.
+fn pearson_on_shared_ts(
+    a: &[(u64, f64)],
+    b: &[(u64, f64)],
+    xs: &mut Vec<f64>,
+    ys: &mut Vec<f64>,
+) -> Option<f64> {
+    xs.clear();
+    ys.clear();
     let mut j = 0;
     for &(ts, v) in a {
         while b.get(j).is_some_and(|&(t, _)| t <= ts) {
@@ -311,7 +394,7 @@ fn pearson_on_shared_ts(a: &[(u64, f64)], b: &[(u64, f64)]) -> Option<f64> {
             }
         }
     }
-    tsa::pearsonr(&xs, &ys)
+    tsa::pearsonr(xs, ys)
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 //! reallocation the calling thread makes. After warm-up, the epoch loops
 //! of the benchmark's two machine shapes, through `Machine::run_epoch`
 //! with snapshot recycling and through `Profiler::profile_epoch`, a
-//! machine under every fault class, and a faulted two-host `Fabric` epoch
-//! each make an exact, repeatable number of calls, pinned below; a
-//! reserved `tsdb::Db::ingest` batch makes none. An allocation added
+//! machine under every fault class, a machine running software prefetches
+//! over a pointer chase, a faulted two-host `Fabric` epoch and the
+//! materializer's analysis pass under retention each make an exact,
+//! repeatable number of calls, pinned below; a reserved `tsdb::Db::ingest`
+//! batch and building a pointer chase make none. An allocation added
 //! anywhere under these loops, callees included, moves a pin. A change
 //! that moves one on purpose updates it and gives the reason.
 //!
@@ -16,12 +18,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pathfinder::model::HitLevel;
 use pathfinder::profiler::{ProfileSpec, Profiler};
+use pathfinder::Materializer;
 use simarch::{
     Fabric, FabricConfig, FaultClass, FaultPlan, FaultWindow, Machine, MachineConfig, MemPolicy,
-    StageId, Workload,
+    StageId, TraceSource, Workload,
 };
 use tsdb::Db;
+use workloads::{PointerChase, SwPrefetchAhead};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -130,8 +135,8 @@ fn profile_epoch_allocs(m: Machine, warmup: u64, epochs: u64) -> u64 {
 #[test]
 fn tiny_machine_epochs_make_pinned_allocator_calls() {
     let tiny = || machine(MachineConfig::tiny(), 500, TINY_APPS);
-    assert_eq!(run_epoch_allocs(tiny(), 200, 2_000), 3_997);
-    assert_eq!(profile_epoch_allocs(tiny(), 200, 2_000), 30_217);
+    assert_eq!(run_epoch_allocs(tiny(), 200, 2_000), 3_999);
+    assert_eq!(profile_epoch_allocs(tiny(), 200, 2_000), 30_225);
 }
 
 #[test]
@@ -159,7 +164,79 @@ fn faulted_machine_epochs_make_pinned_allocator_calls() {
         (QueueStall, StageId::imc(), 200),
         (PmuDropout, StageId::imc(), 0),
     ]));
-    assert_eq!(run_epoch_allocs(m, 200, 2_000), 3_903);
+    assert_eq!(run_epoch_allocs(m, 200, 2_000), 3_926);
+}
+
+/// `SwPrefetchAhead`'s look-ahead window fills once; after that a chase
+/// under software prefetch allocates only what the machine does.
+#[test]
+fn software_prefetch_epochs_make_pinned_allocator_calls() {
+    let mut cfg = MachineConfig::tiny();
+    cfg.epoch_cycles = 500;
+    let mut m = Machine::new(cfg);
+    let chase = PointerChase::new(32 << 20, u64::MAX >> 1, 3);
+    let trace = Box::new(SwPrefetchAhead::new(chase, 8));
+    m.attach(0, Workload::new("chase+swpf", trace, MemPolicy::Cxl));
+    assert_eq!(run_epoch_allocs(m, 200, 2_000), 4_001);
+}
+
+/// mcf's 623 k lines: the chase keeps its order in a few words, not a
+/// table of one entry per line.
+#[test]
+fn building_a_pointer_chase_makes_no_allocator_calls() {
+    let ws = workloads::suite::spec("505.mcf_r")
+        .expect("registry app")
+        .ws_bytes();
+    let before = ALLOCS.get();
+    let chase = PointerChase::new(ws, 1, 1);
+    assert_eq!(ALLOCS.get() - before, 0);
+    assert_eq!(chase.footprint() / 64, 623_718);
+}
+
+/// The benchmark's analysis pass over cores 0 and 1 of the tiny machine.
+fn analysis_pass(m: &Materializer) {
+    let (l0, l1) = (HitLevel::CxlMemory, HitLevel::LocalDram);
+    std::hint::black_box((
+        m.locality_windows(0, l0),
+        m.locality_windows(1, l1),
+        m.burst_windows(0),
+        m.burst_windows(1),
+        m.orthogonality(0, 1),
+        m.predictability(0, l0, 8),
+        m.predictability(1, l1, 8),
+        m.scope_stats(0, l0),
+        m.scope_stats(1, l1),
+    ));
+}
+
+/// Every 256 profiled epochs, a retention step keeps the last 1 024
+/// epochs and an analysis pass reads the store. Once the window is full,
+/// the pass reuses the materializer's row buffers: what it still
+/// allocates is query strings, matched-series lists and the returned
+/// windows.
+#[test]
+fn analysis_pass_makes_pinned_allocator_calls() {
+    const EVERY: u64 = 256;
+    const RETAIN: u64 = 4 * EVERY;
+    let tiny = machine(MachineConfig::tiny(), 500, TINY_APPS);
+    let epoch_cycles = tiny.config().epoch_cycles;
+    let mut p = Profiler::new(tiny, ProfileSpec::default());
+    let mut steady = 0;
+    for pass in 0..12 {
+        let mut end = 0;
+        for _ in 0..EVERY {
+            end = p.profile_epoch().delta.end_cycle;
+        }
+        let cutoff = end.saturating_sub(RETAIN * epoch_cycles);
+        for measurement in ["path_set", "vertex", "app"] {
+            p.materializer.db.delete_range(measurement, 0, cutoff);
+        }
+        let allocs = steady_allocs(0, 1, || analysis_pass(&p.materializer));
+        if pass >= 8 {
+            steady += allocs;
+        }
+    }
+    assert_eq!(steady, 1_128);
 }
 
 #[test]

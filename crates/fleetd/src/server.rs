@@ -12,9 +12,11 @@
 //! * `GET /healthz` — liveness.
 //!
 //! Request reads are bounded (`read_request_line`): a request over a
-//! line or header cap gets `400 Bad Request`, and one that has not arrived
-//! within one deadline is closed, so a client that drips bytes holds the
-//! accept loop for at most that deadline.
+//! line or header cap gets `400 Bad Request`. The request and its
+//! response share one deadline, counted from accept: a connection that has
+//! not sent its request, or not taken its response, by then is closed, so
+//! a client that drips bytes either way holds the accept loop for at most
+//! that deadline.
 //!
 //! This module deliberately contains no concurrency primitives: it reads
 //! the latest [`FleetSnapshot`] through [`SharedState::read`] and is
@@ -25,7 +27,7 @@
 //! scrape path too.
 
 use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader, Read, Write as _};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -41,8 +43,8 @@ const MAX_LINE_BYTES: u64 = 8 * 1024;
 /// Most header lines read after the request line.
 const MAX_HEADERS: usize = 64;
 
-/// Wall time a client gets to send its whole request head, counted from
-/// accept.
+/// Wall time a client gets to send its whole request head and read the
+/// whole response, counted from accept.
 const REQUEST_DEADLINE_NS: u64 = 2_000_000_000;
 
 /// The Prometheus family of each counter column's fleet summary
@@ -96,17 +98,14 @@ pub fn render_metrics(snap: &FleetSnapshot) -> String {
     w.into_string()
 }
 
-fn respond(stream: &TcpStream, status: &str, content_type: &str, body: &str) {
-    let mut out = String::with_capacity(body.len() + 128);
-    let _ = write!(
-        out,
+/// Write the response head, then the body as it is, without copying it.
+fn respond(out: &mut impl Write, status: &str, content_type: &str, body: &str) -> io::Result<()> {
+    let head = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    out.push_str(body);
-    let mut s = stream;
-    let _ = s.write_all(out.as_bytes());
-    let _ = s.flush();
+    out.write_all(head.as_bytes())?;
+    out.write_all(body.as_bytes())
 }
 
 /// Why a request head was refused.
@@ -154,28 +153,47 @@ fn read_capped_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> Result<us
     Ok(n)
 }
 
-/// A connection's read side under one deadline: each read waits at most
-/// the time left, so dripping bytes cannot stretch the request.
-struct DeadlineReader<'a> {
+/// A connection under one deadline: each read or write waits at most the
+/// time left, so dripping bytes cannot stretch the request or its
+/// response.
+struct DeadlineStream<'a> {
     stream: &'a TcpStream,
     deadline_ns: u64,
 }
 
-impl Read for DeadlineReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let left = self.deadline_ns.saturating_sub(obs::clock::now_ns());
-        if left == 0 {
-            return Err(io::ErrorKind::TimedOut.into());
+impl DeadlineStream<'_> {
+    /// The time left, or `TimedOut` once the deadline has passed.
+    fn left(&self) -> io::Result<Duration> {
+        match self.deadline_ns.saturating_sub(obs::clock::now_ns()) {
+            0 => Err(io::ErrorKind::TimedOut.into()),
+            left => Ok(Duration::from_nanos(left)),
         }
-        self.stream
-            .set_read_timeout(Some(Duration::from_nanos(left)))?;
+    }
+}
+
+impl Read for DeadlineStream<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
         self.stream.read(buf)
     }
 }
 
+impl Write for DeadlineStream<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 fn handle(stream: &TcpStream, state: &SharedState) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(2000)));
-    let mut reader = BufReader::new(DeadlineReader {
+    // The head and the body go out as two writes; do not hold the body's
+    // last segment back until the head is acknowledged.
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(DeadlineStream {
         stream,
         deadline_ns: obs::clock::now_ns().saturating_add(REQUEST_DEADLINE_NS),
     });
@@ -183,16 +201,22 @@ fn handle(stream: &TcpStream, state: &SharedState) {
         Ok(line) => line,
         Err(RequestError::Unreadable) => return,
         Err(RequestError::LineTooLong | RequestError::TooManyHeaders) => {
-            respond(stream, "400 Bad Request", "text/plain", "bad request\n");
+            let _ = respond(
+                reader.get_mut(),
+                "400 Bad Request",
+                "text/plain",
+                "bad request\n",
+            );
             return;
         }
     };
+    let out = reader.get_mut();
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     if method != "GET" {
-        respond(
-            stream,
+        let _ = respond(
+            out,
             "405 Method Not Allowed",
             "text/plain",
             "method not allowed\n",
@@ -203,8 +227,8 @@ fn handle(stream: &TcpStream, state: &SharedState) {
         "/metrics" => {
             let t0 = obs::clock::now_ns();
             let body = render_metrics(&state.read());
-            respond(
-                stream,
+            let _ = respond(
+                out,
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
                 &body,
@@ -212,8 +236,12 @@ fn handle(stream: &TcpStream, state: &SharedState) {
             obs::metrics::observe("fleetd.scrape_ns", obs::clock::now_ns().saturating_sub(t0));
             obs::metrics::counter_add("fleetd.scrapes", 1);
         }
-        "/healthz" => respond(stream, "200 OK", "text/plain", "ok\n"),
-        _ => respond(stream, "404 Not Found", "text/plain", "not found\n"),
+        "/healthz" => {
+            let _ = respond(out, "200 OK", "text/plain", "ok\n");
+        }
+        _ => {
+            let _ = respond(out, "404 Not Found", "text/plain", "not found\n");
+        }
     }
 }
 
@@ -287,6 +315,31 @@ mod tests {
         );
         let read = REQUEST_LINE.len() + (MAX_HEADERS + 1) * HEADER.len();
         assert_eq!(reader.position(), read as u64);
+    }
+
+    /// A client that never reads its response: a body larger than both
+    /// socket buffers stalls the write, which gives up when the
+    /// connection's one deadline runs out rather than after one timeout
+    /// per write call.
+    #[test]
+    fn a_stalled_reader_is_dropped_within_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let body = "x".repeat(16 << 20);
+        let t0 = obs::clock::now_ns();
+        let mut out = DeadlineStream {
+            stream: &server,
+            deadline_ns: t0 + REQUEST_DEADLINE_NS,
+        };
+        let sent = respond(&mut out, "200 OK", "text/plain", &body);
+        let took_ms = obs::clock::now_ns().saturating_sub(t0) / 1_000_000;
+        assert!(sent.is_err(), "16 MiB fit into a reader that never reads");
+        assert!(
+            took_ms < REQUEST_DEADLINE_NS / 1_000_000 + 500,
+            "the stalled write held the connection for {took_ms} ms"
+        );
+        drop(client);
     }
 
     /// Request pieces, a line past the cap and a run of headers among

@@ -441,8 +441,9 @@ impl Db {
             return false;
         };
         let before = out.len();
-        self.rows_in(id, range)
-            .for_each(|i| out.push((s.ts[i], col.values[i])));
+        let rows = self.rows_in(id, range);
+        out.reserve(rows.count());
+        rows.for_each(|i| out.push((s.ts[i], col.values[i])));
         out.len() > before
     }
 

@@ -63,22 +63,29 @@ impl<'a> Query<'a> {
     /// Materialise one field as a `(ts, value)` series, time-sorted;
     /// series without the field contribute nothing.
     pub fn values(self, field: &str) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        self.values_into(field, &mut out);
+        out
+    }
+
+    /// [`Query::values`] into `out`, cleared first, so a caller that keeps
+    /// `out` across queries reuses its capacity.
+    pub fn values_into(self, field: &str, out: &mut Vec<(u64, f64)>) {
         let _span = obs::span!("tsdb.query");
         obs::metrics::counter_add("tsdb.queries", 1);
-        let mut out: Vec<(u64, f64)> = Vec::new();
+        out.clear();
         let Some(sym) = self.db.field_symbol(field) else {
-            return out;
+            return;
         };
         let mut contributing = 0usize;
         for id in self.series() {
-            if self.db.collect_values(id, sym, self.range, &mut out) {
+            if self.db.collect_values(id, sym, self.range, out) {
                 contributing += 1;
             }
         }
         if contributing > 1 {
             out.sort_by_key(|&(ts, _)| ts);
         }
-        out
     }
 
     /// Count matching points.

@@ -56,6 +56,19 @@ impl HoltWinters {
     /// Fit on `data` (needs ≥ 2 full seasons) and forecast `horizon` steps.
     /// Returns `(fitted_one_step_ahead, forecast)`.
     pub fn fit_forecast(&self, data: &[f64], horizon: usize) -> Option<(Vec<f64>, Vec<f64>)> {
+        let mut fitted = Vec::with_capacity(data.len());
+        let (level, trend, seasonal) = self.fit(data, |predict| fitted.push(predict))?;
+        let (n, m) = (data.len(), self.season);
+        let forecast = (0..horizon)
+            .map(|h| level + (h + 1) as f64 * trend + seasonal[(n + h) % m])
+            .collect();
+        Some((fitted, forecast))
+    }
+
+    /// Smooth `data` (needs ≥ 2 full seasons), handing each one-step-ahead
+    /// prediction to `fitted` in time order. Returns the final level,
+    /// trend and seasonal terms.
+    fn fit(&self, data: &[f64], mut fitted: impl FnMut(f64)) -> Option<(f64, f64, Vec<f64>)> {
         let m = self.season;
         if data.len() < 2 * m {
             return None;
@@ -66,38 +79,32 @@ impl HoltWinters {
         let mut level = s1;
         let mut trend = (s2 - s1) / m as f64;
         let mut seasonal: Vec<f64> = (0..m).map(|i| data[i] - s1).collect();
-
-        let mut fitted = Vec::with_capacity(data.len());
         for (t, &y) in data.iter().enumerate() {
             let si = t % m;
-            let predict = level + trend + seasonal[si];
-            fitted.push(predict);
+            fitted(level + trend + seasonal[si]);
             let last_level = level;
             level = self.alpha * (y - seasonal[si]) + (1.0 - self.alpha) * (level + trend);
             trend = self.beta * (level - last_level) + (1.0 - self.beta) * trend;
             seasonal[si] = self.gamma * (y - level) + (1.0 - self.gamma) * seasonal[si];
         }
-        let n = data.len();
-        let forecast = (0..horizon)
-            .map(|h| level + (h + 1) as f64 * trend + seasonal[(n + h) % m])
-            .collect();
-        Some((fitted, forecast))
+        Some((level, trend, seasonal))
     }
 
     /// Root-mean-square one-step-ahead error of the fit, skipping the first
     /// two warm-up seasons. A small error relative to the signal's stddev
     /// indicates a predictable (seasonal) access pattern.
     pub fn fit_error(&self, data: &[f64]) -> Option<f64> {
-        let (fitted, _) = self.fit_forecast(data, 0)?;
         let skip = 2 * self.season;
+        let (mut t, mut se) = (0, 0.0);
+        self.fit(data, |predict| {
+            if t >= skip {
+                se += (data[t] - predict) * (data[t] - predict);
+            }
+            t += 1;
+        })?;
         if data.len() <= skip {
             return None;
         }
-        let se: f64 = data[skip..]
-            .iter()
-            .zip(fitted[skip..].iter())
-            .map(|(y, f)| (y - f) * (y - f))
-            .sum();
         Some((se / (data.len() - skip) as f64).sqrt())
     }
 }

@@ -82,35 +82,40 @@ impl TraceSource for Gups {
     }
 }
 
-/// Pointer chasing over a random Hamiltonian cycle — fully dependent loads,
-/// zero memory-level parallelism. Models `505.mcf_r` and the Intel-MLC
-/// idle-latency probe (§2.3): the measured per-op time *is* the load-to-use
-/// latency of the backing memory.
+/// Pointer chasing over a keyed random order of the lines — fully
+/// dependent loads, zero memory-level parallelism. Models `505.mcf_r` and
+/// the Intel-MLC idle-latency probe (§2.3): the measured per-op time *is*
+/// the load-to-use latency of the backing memory.
+///
+/// Lap k visits lines `f(0), f(1), …, f(n − 1)` for a keyed bijection `f`
+/// on the `n` lines, so each lap loads every line once. `f` is a
+/// four-round Feistel network on the smallest power of two with an even
+/// bit count that is ≥ n, cycle-walked back into `[0, n)`: the generator
+/// holds a few words whatever the footprint, and the low address bits,
+/// which pick the cache set, are as mixed as the high ones.
 pub struct PointerChase {
-    /// next[i] = index of the next line in the cycle.
-    next: Vec<u32>,
-    cur: u32,
+    /// Round keys, drawn from the seed.
+    keys: [u64; 4],
+    /// Bits per Feistel half.
+    half: u32,
+    lines: u64,
+    /// Position within the current lap.
+    pos: u64,
     remaining: u64,
     work: u32,
 }
 
 impl PointerChase {
     pub fn new(footprint: usize, total_ops: u64, seed: u64) -> Self {
-        let n = (footprint / 64).max(2);
-        assert!(
-            n <= u32::MAX as usize,
-            "footprint too large for a u32 cycle"
-        );
+        let lines = (footprint / 64).max(2) as u64;
+        // Smallest h with 4^h ≥ lines, so the domain is at most 4× lines.
+        let half = (64 - (lines - 1).leading_zeros()).div_ceil(2);
         let mut rng = StdRng::seed_from_u64(seed);
-        // Sattolo's algorithm: a uniformly random single cycle.
-        let mut next: Vec<u32> = (0..n as u32).collect();
-        for i in (1..n).rev() {
-            let j = rng.random_range(0..i);
-            next.swap(i, j);
-        }
         PointerChase {
-            next,
-            cur: 0,
+            keys: std::array::from_fn(|_| rng.random()),
+            half,
+            lines,
+            pos: 0,
             remaining: total_ops,
             work: 1,
         }
@@ -120,6 +125,30 @@ impl PointerChase {
         self.work = work;
         self
     }
+
+    /// One pass of the Feistel network over `[0, 4^half)`.
+    fn feistel(&self, x: u64) -> u64 {
+        let mask = (1u64 << self.half) - 1;
+        let (mut l, mut r) = (x >> self.half, x & mask);
+        for &key in &self.keys {
+            // SplitMix64's finaliser as the keyed round function.
+            let mut z = r ^ key;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (l, r) = (r, l ^ ((z ^ (z >> 31)) & mask));
+        }
+        (l << self.half) | r
+    }
+
+    /// The line visited at lap position `i`: the network applied until it
+    /// lands below `lines` (cycle walking keeps it a bijection).
+    fn line(&self, i: u64) -> u64 {
+        let mut x = self.feistel(i);
+        while x >= self.lines {
+            x = self.feistel(x);
+        }
+        x
+    }
 }
 
 impl TraceSource for PointerChase {
@@ -128,13 +157,16 @@ impl TraceSource for PointerChase {
             return None;
         }
         self.remaining -= 1;
-        let addr = self.cur as u64 * 64;
-        self.cur = self.next[self.cur as usize];
+        let addr = self.line(self.pos) * 64;
+        self.pos += 1;
+        if self.pos == self.lines {
+            self.pos = 0;
+        }
         Some(MemOp::dependent_load(addr).with_work(self.work))
     }
 
     fn footprint(&self) -> usize {
-        self.next.len() * 64
+        self.lines as usize * 64
     }
 }
 
@@ -223,5 +255,40 @@ mod tests {
             last = op.vaddr;
         }
         assert_eq!(first, last, "a Hamiltonian cycle closes after n steps");
+    }
+
+    /// One lap over `n` lines, as line indices.
+    fn lap(n: u64, seed: u64) -> Vec<u64> {
+        let mut p = PointerChase::new(n as usize * 64, n, seed);
+        std::iter::from_fn(|| p.next_op())
+            .map(|op| op.vaddr / 64)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Any line count, powers of two with an odd bit count and cycle
+        /// walking included: a lap is a permutation of the lines, and the
+        /// seed picks it. Laps of a few lines coincide by chance (two lines
+        /// have two orders), so the seed check starts at 64 lines.
+        #[test]
+        fn pointer_chase_laps_are_seeded_permutations(
+            n in 2u64..=10_000,
+            seed in 0u64..u64::MAX,
+            other in 0u64..u64::MAX,
+        ) {
+            let order = lap(n, seed);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            proptest::prop_assert!(
+                sorted.into_iter().eq(0..n),
+                "lap of {} lines is not a permutation",
+                n
+            );
+            if n >= 64 && other != seed {
+                proptest::prop_assert_ne!(order, lap(n, other));
+            }
+        }
     }
 }
