@@ -5,13 +5,14 @@
 //! of the store, the materializer runs PathFinder's analysis workflow:
 //! scope (tag-filtered query) → overall statistics → window clustering →
 //! trend/seasonality via Holt-Winters → cross-application correlation via
-//! Pearson's r.
+//! Pearson's r. Consecutive steps of one scope read the same series, so
+//! the reads share one query per scope until the store changes.
 
 use std::cell::RefCell;
 
 use crate::builder::PathMap;
 use crate::model::{Component, HitLevel, PathGroup};
-use tsdb::{ops, tsa, Db, SeriesId};
+use tsdb::{ops, tsa, Db, Merge, SeriesId, Stamp};
 
 /// Resolved series handles for the per-app record families (`path_set`,
 /// `app`). Built once per workload assignment; while the apps stay the
@@ -26,20 +27,116 @@ struct AppHandles {
     progress: Vec<SeriesId>,
 }
 
-/// Row buffers the analysis reads reuse from call to call. A steady-state
-/// analysis pass then allocates none of them, so it neither returns them
-/// to the OS between passes nor faults them back in.
-#[derive(Default)]
+/// What one analysis read returns: the hit series of a (core, level)
+/// scope, or a core's ops series.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Scope {
+    Hits(usize, HitLevel),
+    Ops(usize),
+}
+
+/// Scopes the memo keeps at one store state. A pass over two co-located
+/// cores reads four (each core's hit and ops series); the rest is room
+/// for a caller that reads more levels.
+const MEMO_SCOPES: usize = 8;
+
+/// One memoized read.
+#[derive(Debug)]
+struct Entry {
+    scope: Scope,
+    /// `Scratch::tick` at the entry's last use.
+    used: u64,
+    rows: Vec<(u64, f64)>,
+}
+
+/// The series the analysis reads share until the store changes, and the
+/// buffers the reads reuse. A steady-state analysis pass then allocates
+/// none of them, so it neither returns them to the OS between passes nor
+/// faults them back in.
+#[derive(Debug, Default)]
 struct Scratch {
-    /// One query's rows per path, before the per-timestamp merge.
-    per_path: [Vec<(u64, f64)>; PathGroup::COUNT],
-    /// Up to two series of one read: a scope, or the two sides of a
-    /// correlation.
-    series: [Vec<(u64, f64)>; 2],
+    /// The store state `memo[..live]` was read at.
+    stamp: Stamp,
+    /// Reads of the store at `stamp` (the first `live`), then spare
+    /// buffers of reads an earlier state invalidated.
+    memo: Vec<Entry>,
+    live: usize,
+    tick: u64,
+    merge: Merge,
     /// Values without timestamps: one series, or the paired samples of a
     /// correlation.
     xs: Vec<f64>,
     ys: Vec<f64>,
+}
+
+impl Scratch {
+    /// The index in `memo` of `scope`'s series as `db` holds it now. A
+    /// miss reads the store into a spare buffer, or into the least
+    /// recently used entry once `MEMO_SCOPES` are live.
+    fn read(&mut self, db: &Db, scope: Scope) -> usize {
+        if !db.is_at(&self.stamp) {
+            self.stamp = db.stamp();
+            self.live = 0;
+        }
+        self.tick += 1;
+        if let Some(i) = self.memo[..self.live].iter().position(|e| e.scope == scope) {
+            self.memo[i].used = self.tick;
+            return i;
+        }
+        let i = if self.live < MEMO_SCOPES {
+            if self.live == self.memo.len() {
+                self.memo.push(Entry {
+                    scope,
+                    used: 0,
+                    rows: Vec::new(),
+                });
+            }
+            self.live += 1;
+            self.live - 1
+        } else {
+            (0..self.live)
+                .min_by_key(|&i| self.memo[i].used)
+                .expect("the memo is full")
+        };
+        let e = &mut self.memo[i];
+        e.scope = scope;
+        e.used = self.tick;
+        match scope {
+            Scope::Hits(core, level) => {
+                let mut digits = [0; 20];
+                let core = decimal(core, &mut digits);
+                let per_path = PathGroup::ALL.map(|p| {
+                    db.from("path_set")
+                        .filter("core", core)
+                        .filter("dst", level.label())
+                        .filter("path", p.label())
+                });
+                db.sum_per_ts(per_path, "hits", &mut self.merge, &mut e.rows);
+            }
+            Scope::Ops(core) => {
+                let mut digits = [0; 20];
+                db.from("app")
+                    .filter("core", decimal(core, &mut digits))
+                    .values_into("ops", &mut e.rows);
+            }
+        }
+        i
+    }
+}
+
+/// `n` in decimal, written at the end of `digits`: a core's tag value
+/// without a `String`.
+fn decimal(mut n: usize, digits: &mut [u8; 20]) -> &str {
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&digits[start..]).expect("ASCII digits")
 }
 
 /// The materializer: a DB plus ingestion and analysis workflows.
@@ -171,69 +268,38 @@ impl Materializer {
     /// PathFinder's "query scope" step: the four per-path series summed
     /// per timestamp, in time order.
     pub fn hit_series(&self, core: usize, level: HitLevel) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        self.hit_series_into(
-            core,
-            level,
-            &mut self.scratch.borrow_mut().per_path,
-            &mut out,
-        );
-        out
+        self.with_series(Scope::Hits(core, level), |series, _| series.to_vec())
     }
 
-    /// [`Materializer::hit_series`] into `out`, with `per_path` as the
-    /// per-path query buffers.
-    fn hit_series_into(
-        &self,
-        core: usize,
-        level: HitLevel,
-        per_path: &mut [Vec<(u64, f64)>; PathGroup::COUNT],
-        out: &mut Vec<(u64, f64)>,
-    ) {
-        let core = core.to_string();
-        for (p, rows) in PathGroup::ALL.into_iter().zip(per_path.iter_mut()) {
-            self.db
-                .from("path_set")
-                .filter("core", core.as_str())
-                .filter("dst", level.label())
-                .filter("path", p.label())
-                .values_into("hits", rows);
-        }
-        sum_per_ts(per_path, out);
-    }
-
-    /// Run `f` on the scope's hit series and its values alone.
-    fn with_hit_series<T>(
-        &self,
-        core: usize,
-        level: HitLevel,
-        f: impl FnOnce(&[(u64, f64)], &[f64]) -> T,
-    ) -> T {
+    /// Run `f` on a scope's series and its values alone.
+    fn with_series<T>(&self, scope: Scope, f: impl FnOnce(&[(u64, f64)], &[f64]) -> T) -> T {
         let s = &mut *self.scratch.borrow_mut();
-        let [series, _] = &mut s.series;
-        self.hit_series_into(core, level, &mut s.per_path, series);
+        let i = s.read(&self.db, scope);
+        let series = &s.memo[i].rows;
         values_of(series, &mut s.xs);
         f(series, &s.xs)
     }
 
-    /// Run `f` on one core's ops series and its values alone.
-    fn with_ops_series<T>(&self, core: usize, f: impl FnOnce(&[(u64, f64)], &[f64]) -> T) -> T {
+    /// Pearson's r of two scopes' series on the snapshots they share.
+    fn correlate_scopes(&self, a: Scope, b: Scope) -> Option<f64> {
         let s = &mut *self.scratch.borrow_mut();
-        let [series, _] = &mut s.series;
-        self.ops_series_into(core, series);
-        values_of(series, &mut s.xs);
-        f(series, &s.xs)
+        // Reading `b` cannot evict `a`: `a` is the most recently used.
+        let ia = s.read(&self.db, a);
+        let ib = s.read(&self.db, b);
+        pearson_on_shared_ts(&s.memo[ia].rows, &s.memo[ib].rows, &mut s.xs, &mut s.ys)
     }
 
     /// Phase windows of consistent locality for a (core, level) scope —
     /// Case 6's "windows with stable memory access patterns".
     pub fn locality_windows(&self, core: usize, level: HitLevel) -> Vec<tsa::Window> {
-        self.with_hit_series(core, level, |_, data| tsa::cluster_windows(data, 0.25, 1.0))
+        self.with_series(Scope::Hits(core, level), |_, data| {
+            tsa::cluster_windows(data, 0.25, 1.0)
+        })
     }
 
     /// Summary statistics of a scope (min/max/mean/moving-average tail).
     pub fn scope_stats(&self, core: usize, level: HitLevel) -> Option<(f64, f64, f64)> {
-        self.with_hit_series(core, level, |series, _| {
+        self.with_series(Scope::Hits(core, level), |series, _| {
             Some((ops::min(series)?, ops::max(series)?, ops::mean(series)?))
         })
     }
@@ -242,11 +308,7 @@ impl Materializer {
     /// overlapping snapshots (Case 6: identify locality-impacting factors
     /// from co-located applications).
     pub fn correlate_cores(&self, a: usize, b: usize, level: HitLevel) -> Option<f64> {
-        let s = &mut *self.scratch.borrow_mut();
-        let [sa, sb] = &mut s.series;
-        self.hit_series_into(a, level, &mut s.per_path, sa);
-        self.hit_series_into(b, level, &mut s.per_path, sb);
-        pearson_on_shared_ts(sa, sb, &mut s.xs, &mut s.ys)
+        self.correlate_scopes(Scope::Hits(a, level), Scope::Hits(b, level))
     }
 
     /// Pearson correlation between two arbitrary aligned samples — Case 5
@@ -260,7 +322,7 @@ impl Materializer {
     /// Holt-Winters relative fit error — small values indicate regular,
     /// forecastable access patterns (§4.6 step 4).
     pub fn predictability(&self, core: usize, level: HitLevel, season: usize) -> Option<f64> {
-        self.with_hit_series(core, level, |series, data| {
+        self.with_series(Scope::Hits(core, level), |series, data| {
             let hw = tsa::HoltWinters::new(season);
             let err = hw.fit_error(data)?;
             let sd = ops::stddev(series)?;
@@ -273,22 +335,15 @@ impl Materializer {
 
     /// The per-epoch ops series of one core (`app` measurement).
     pub fn ops_series(&self, core: usize) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        self.ops_series_into(core, &mut out);
-        out
-    }
-
-    fn ops_series_into(&self, core: usize, out: &mut Vec<(u64, f64)>) {
-        self.db
-            .from("app")
-            .filter("core", core.to_string())
-            .values_into("ops", out);
+        self.with_series(Scope::Ops(core), |series, _| series.to_vec())
     }
 
     /// Compute-burst windows (§4.6: "computing burst"): phases of consistent
     /// execution throughput, found by clustering the per-epoch ops series.
     pub fn burst_windows(&self, core: usize) -> Vec<tsa::Window> {
-        self.with_ops_series(core, |_, data| tsa::cluster_windows(data, 0.25, 1.0))
+        self.with_series(Scope::Ops(core), |_, data| {
+            tsa::cluster_windows(data, 0.25, 1.0)
+        })
     }
 
     /// Execution orthogonality (§4.6): do two co-located applications
@@ -296,11 +351,7 @@ impl Materializer {
     /// contend (r < 0)? Pearson correlation of the two cores' per-epoch ops
     /// on the overlapping snapshots.
     pub fn orthogonality(&self, a: usize, b: usize) -> Option<f64> {
-        let s = &mut *self.scratch.borrow_mut();
-        let [sa, sb] = &mut s.series;
-        self.ops_series_into(a, sa);
-        self.ops_series_into(b, sb);
-        pearson_on_shared_ts(sa, sb, &mut s.xs, &mut s.ys)
+        self.correlate_scopes(Scope::Ops(a), Scope::Ops(b))
     }
 
     /// Spatial-locality digest (§4.6: "spatial data locality"): given one
@@ -335,32 +386,6 @@ impl Materializer {
     /// Resident bytes of the record store (overhead accounting, §5.9).
     pub fn footprint_bytes(&self) -> usize {
         self.db.footprint_bytes()
-    }
-}
-
-/// Sum time-sorted series per timestamp in one k-way merge, into `out`.
-/// Each sum starts from `0.0` and adds series by series in slice order,
-/// rows in series order, as accumulating whole series one after another
-/// into per-timestamp totals would, so every sum has that order's bits for
-/// any `f64`.
-fn sum_per_ts(series: &[Vec<(u64, f64)>; PathGroup::COUNT], out: &mut Vec<(u64, f64)>) {
-    let mut heads = [0usize; PathGroup::COUNT];
-    out.clear();
-    out.reserve(series.iter().map(Vec::len).max().unwrap_or(0));
-    while let Some(ts) = series
-        .iter()
-        .zip(&heads)
-        .filter_map(|(s, &h)| s.get(h).map(|&(t, _)| t))
-        .min()
-    {
-        let mut sum = 0.0;
-        for (s, h) in series.iter().zip(&mut heads) {
-            while let Some(&(_, v)) = s.get(*h).filter(|&&(t, _)| t == ts) {
-                sum += v;
-                *h += 1;
-            }
-        }
-        out.push((ts, sum));
     }
 }
 

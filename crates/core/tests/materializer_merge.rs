@@ -7,6 +7,13 @@
 //! each (so one (core, dst, path) scope spans several series), duplicate
 //! and out-of-order timestamps, non-integer values of mixed magnitude (so
 //! the order of additions shows in the bits), and random range deletes.
+//!
+//! The materializer memoizes its reads until the store changes, so the
+//! reads are interleaved with the writes and deletes, each made twice in a
+//! row (the second is served from the memo). Once per case `m.db` is
+//! replaced wholesale by a twin store that took the same calls with other
+//! values: the same number of changes, so only the store's identity tells
+//! the two apart.
 
 use std::collections::BTreeMap;
 
@@ -29,7 +36,8 @@ fn value(raw: u64) -> f64 {
 }
 
 /// One scripted operation on the store, decoded from a generated tuple:
-/// a `path_set` record, an `app` record, or a range delete.
+/// a `path_set` record, an `app` record, or a range delete. Reads (kinds
+/// 8 and 9) leave the store alone.
 fn apply(db: &mut Db, cores: usize, op: (u8, u8, u8, u8, u64, u64)) {
     let (kind, core, app, sel, ts, raw) = op;
     let core = (core as usize % cores).to_string();
@@ -51,11 +59,18 @@ fn apply(db: &mut Db, cores: usize, op: (u8, u8, u8, u8, u64, u64)) {
             let id = db.series_handle("app", &[("core", &core), ("app", &app)], &["ops"]);
             db.ingest(id, ts, &[value(raw)]);
         }
-        _ => {
+        7 => {
             let measurement = if sel % 2 == 0 { "path_set" } else { "app" };
             db.delete_range(measurement, ts, ts + raw % 12);
         }
+        _ => {}
     }
+}
+
+/// `op` with another value: the twin store takes the same calls.
+fn twin_op(op: (u8, u8, u8, u8, u64, u64)) -> (u8, u8, u8, u8, u64, u64) {
+    let (kind, core, app, sel, ts, raw) = op;
+    (kind, core, app, sel, ts, raw ^ 1 << 6)
 }
 
 /// Reference `hit_series`: every path's rows summed per timestamp in an
@@ -97,6 +112,32 @@ fn bits(series: &[(u64, f64)]) -> Vec<(u64, u64)> {
     series.iter().map(|&(ts, v)| (ts, v.to_bits())).collect()
 }
 
+/// Every read of scopes `a` and `b` at `level`, twice, against the
+/// reference on the store as it is now.
+fn check_reads(m: &Materializer, a: usize, b: usize, level: HitLevel) -> Result<(), TestCaseError> {
+    for _ in 0..2 {
+        prop_assert_eq!(
+            bits(&m.hit_series(a, level)),
+            bits(&ref_hit_series(&m.db, a, level))
+        );
+        prop_assert_eq!(bits(&m.ops_series(b)), bits(&ref_ops_series(&m.db, b)));
+        let want = ref_pearson(
+            ref_hit_series(&m.db, a, level),
+            ref_hit_series(&m.db, b, level),
+        );
+        prop_assert_eq!(
+            m.correlate_cores(a, b, level).map(f64::to_bits),
+            want.map(f64::to_bits)
+        );
+        let want = ref_pearson(ref_ops_series(&m.db, a), ref_ops_series(&m.db, b));
+        prop_assert_eq!(
+            m.orthogonality(a, b).map(f64::to_bits),
+            want.map(f64::to_bits)
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -104,13 +145,29 @@ proptest! {
     fn merged_reads_match_the_ordered_map_reference(
         cores in 2usize..4,
         ops in proptest::collection::vec(
-            (0u8..8, 0u8..3, 0u8..2, 0u8..8, 0u64..48, 0u64..1 << 20),
+            (0u8..10, 0u8..4, 0u8..2, 0u8..8, 0u64..48, 0u64..1 << 20),
             1..240,
         ),
+        replace_at in 0usize..240,
     ) {
         let mut m = Materializer::new();
-        for &op in &ops {
+        let mut twin = Db::new();
+        for (i, &op) in ops.iter().enumerate() {
             apply(&mut m.db, cores, op);
+            apply(&mut twin, cores, twin_op(op));
+            // One core past the populated ones reads an empty scope.
+            let (kind, core, _, sel, ..) = op;
+            let a = core as usize % (cores + 1);
+            let b = sel as usize / LEVELS.len() % (cores + 1);
+            let level = LEVELS[sel as usize % LEVELS.len()];
+            if kind >= 8 {
+                check_reads(&m, a, b, level)?;
+            }
+            if i == replace_at.min(ops.len() - 1) {
+                check_reads(&m, a, b, level)?;
+                twin = std::mem::replace(&mut m.db, twin);
+                check_reads(&m, a, b, level)?;
+            }
         }
         // One core past the populated ones reads an empty scope.
         for level in LEVELS {

@@ -26,6 +26,7 @@
 //! (`lib.rs`), and `tests/hostile_input.rs` feeds [`validate`] arbitrary
 //! bytes.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -214,7 +215,8 @@ pub struct PromStats {
 }
 
 /// Parse a Prometheus label set body (the text between `{` and `}`) into
-/// `(name, unescaped value)` pairs.
+/// `(name, unescaped value)` pairs, in `out`, cleared first. Names and
+/// values are slices of `s`; a value is copied only to unescape it.
 ///
 /// Grammar enforced: comma-separated `name="value"` pairs; label names
 /// `[a-zA-Z_][a-zA-Z0-9_]*`; inside a value only `\\`, `\"` and `\n` are
@@ -222,66 +224,77 @@ pub struct PromStats {
 /// stray bytes between pairs, an unterminated value, an illegal escape —
 /// is exactly the shape a hostile label value would need to smuggle a
 /// fake sample past a scraper, and is rejected.
-fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
+fn parse_labels<'t>(s: &'t str, out: &mut Vec<(&'t str, Cow<'t, str>)>) -> Result<(), String> {
+    out.clear();
     if s.is_empty() {
-        return Ok(out);
+        return Ok(());
     }
-    let mut it = s.chars().peekable();
+    let mut rest = s;
     loop {
-        let mut name = String::new();
-        while let Some(&c) = it.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                name.push(c);
-                it.next();
-            } else {
-                break;
-            }
-        }
+        let after = rest.trim_start_matches(|c: char| c.is_ascii_alphanumeric() || c == '_');
+        let name = rest.get(..rest.len() - after.len()).unwrap_or_default();
         if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
-            return Err(format!(
-                "bad label name before `{}`",
-                it.collect::<String>()
-            ));
+            return Err(format!("bad label name before `{after}`"));
         }
-        if it.next() != Some('=') || it.next() != Some('"') {
+        let Some(body) = after.strip_prefix("=\"") else {
             return Err(format!("label `{name}` is not followed by =\"...\""));
+        };
+        let (value, tail) = parse_value(name, body)?;
+        out.push((name, value));
+        let mut tail = tail.chars();
+        match tail.next() {
+            None => return Ok(()),
+            Some(',') => rest = tail.as_str(),
+            Some(c) => return Err(format!("unexpected `{c}` after a label pair")),
         }
-        let mut value = String::new();
-        loop {
-            match it.next() {
-                None => return Err(format!("label `{name}` has an unterminated value")),
-                Some('"') => break,
-                Some('\\') => match it.next() {
-                    Some('\\') => value.push('\\'),
-                    Some('"') => value.push('"'),
-                    Some('n') => value.push('\n'),
+    }
+}
+
+/// Label `name`'s value at the start of `body`, unescaped, and the text
+/// after its closing quote. The value borrows from `body` unless it holds
+/// an escape.
+fn parse_value<'t>(name: &str, body: &'t str) -> Result<(Cow<'t, str>, &'t str), String> {
+    let mut owned: Option<String> = None;
+    let mut chars = body.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => {
+                let value = match owned {
+                    Some(v) => Cow::Owned(v),
+                    None => Cow::Borrowed(body.get(..i).unwrap_or_default()),
+                };
+                return Ok((value, chars.as_str()));
+            }
+            '\\' => {
+                let v = owned.get_or_insert_with(|| body.get(..i).unwrap_or_default().to_owned());
+                match chars.next().map(|(_, c)| c) {
+                    Some('\\') => v.push('\\'),
+                    Some('"') => v.push('"'),
+                    Some('n') => v.push('\n'),
                     other => {
                         return Err(format!(
                             "label `{name}` uses illegal escape `\\{}`",
                             other.map(String::from).unwrap_or_default()
                         ))
                     }
-                },
-                Some(c) => value.push(c),
+                }
+            }
+            c => {
+                if let Some(v) = owned.as_mut() {
+                    v.push(c);
+                }
             }
         }
-        out.push((name, value));
-        match it.next() {
-            None => break,
-            Some(',') => continue,
-            Some(c) => return Err(format!("unexpected `{c}` after a label pair")),
-        }
     }
-    Ok(out)
+    Err(format!("label `{name}` has an unterminated value"))
 }
 
 /// Resolve a sample name to its family: `_sum`/`_count`/`_bucket`
 /// suffixes fold into a preceding summary or histogram family.
-fn family_of<'a>(name: &'a str, types: &BTreeMap<String, String>) -> &'a str {
+fn family_of<'a>(name: &'a str, types: &BTreeMap<&str, &str>) -> &'a str {
     for suffix in ["_count", "_sum", "_bucket"] {
         if let Some(base) = name.strip_suffix(suffix) {
-            if let Some(kind) = types.get(base) {
+            if let Some(&kind) = types.get(base) {
                 if kind == "summary" || kind == "histogram" {
                     return base;
                 }
@@ -307,8 +320,9 @@ fn family_of<'a>(name: &'a str, types: &BTreeMap<String, String>) -> &'a str {
 /// Returns family/sample counts on success, a one-line diagnosis on the
 /// first failure.
 pub fn validate(text: &str, required: &[&str]) -> Result<PromStats, String> {
-    let mut types: BTreeMap<String, String> = BTreeMap::new();
+    let mut types: BTreeMap<&str, &str> = BTreeMap::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut pairs = Vec::new();
     let mut samples = 0usize;
     for (idx, raw) in text.lines().enumerate() {
         let n = idx + 1;
@@ -333,7 +347,7 @@ pub fn validate(text: &str, required: &[&str]) -> Result<PromStats, String> {
                     "line {n}: family `{fam}` is not in pathfinder_ mangled form"
                 ));
             }
-            if types.insert(fam.to_string(), kind.to_string()).is_some() {
+            if types.insert(fam, kind).is_some() {
                 return Err(format!("line {n}: duplicate TYPE line for `{fam}`"));
             }
             continue;
@@ -365,18 +379,26 @@ pub fn validate(text: &str, required: &[&str]) -> Result<PromStats, String> {
                 "line {n}: sample `{name}` has no preceding # TYPE line"
             ));
         }
-        let mut pairs = match parse_labels(labels) {
-            Ok(p) => p,
-            Err(e) => return Err(format!("line {n}: `{series}`: {e}")),
-        };
+        if let Err(e) = parse_labels(labels, &mut pairs) {
+            return Err(format!("line {n}: `{series}`: {e}"));
+        }
         // Identity is the parsed set: sort, then re-escape each value so
         // the key stays unambiguous whatever bytes the values contain.
         pairs.sort();
-        let key = pairs.iter().fold(name.to_string(), |mut k, (lk, lv)| {
-            let _ = write!(k, "\u{0}{lk}\u{0}");
-            escape_label_into(&mut k, lv);
-            k
-        });
+        let mut key = String::with_capacity(
+            name.len()
+                + pairs
+                    .iter()
+                    .map(|(lk, lv)| 2 + lk.len() + 2 * lv.len())
+                    .sum::<usize>(),
+        );
+        key.push_str(name);
+        for (lk, lv) in &pairs {
+            key.push('\u{0}');
+            key.push_str(lk);
+            key.push('\u{0}');
+            escape_label_into(&mut key, lv);
+        }
         if !seen.insert(key) {
             return Err(format!("line {n}: duplicate sample `{series}`"));
         }

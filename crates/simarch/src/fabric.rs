@@ -240,10 +240,10 @@ impl Fabric {
         let mut reqs = vec![0u64; n_hosts];
         for h in 0..n_hosts {
             let res = self.hosts[h].run_epoch();
-            let delta = res.snapshot.delta(&self.prev[h]);
-            self.prev[h] = res.snapshot.clone();
-            let reads = delta.cxl_sum(CxlEvent::RxcPackBufInsertsMemReq);
-            let writes = delta.cxl_sum(CxlEvent::RxcPackBufInsertsMemData);
+            let prev = &mut self.prev[h];
+            let reads = cxl_delta_sum(&res.snapshot, prev, CxlEvent::RxcPackBufInsertsMemReq);
+            let writes = cxl_delta_sum(&res.snapshot, prev, CxlEvent::RxcPackBufInsertsMemData);
+            prev.copy_from(&res.snapshot.pmu, res.snapshot.cycle);
             let n = reads + writes;
             reqs[h] = n;
             let epoch_start = self.hosts[h].now() - ec;
@@ -319,6 +319,18 @@ impl Fabric {
         }
         self.all_done().then_some(epochs)
     }
+}
+
+/// `ev`'s increase from `earlier` to `now`, summed over the CXL devices:
+/// what `now.delta(earlier).cxl_sum(ev)` reads, per-bank saturating
+/// differences included, without building the whole delta.
+fn cxl_delta_sum(now: &SystemSnapshot, earlier: &SystemSnapshot, ev: CxlEvent) -> u64 {
+    now.pmu
+        .cxls
+        .iter()
+        .zip(&earlier.pmu.cxls)
+        .map(|(n, e)| n.read(ev).saturating_sub(e.read(ev)))
+        .sum()
 }
 
 /// The fabric's own queues and its flow balance (per-host machines audit

@@ -15,11 +15,16 @@
 //!   series costs the same, so it is one constant per series, fixed from
 //!   the measurement, tag and field lengths when the series is created.
 //! * [`Db::resident_bytes`] — actual heap bytes of the columnar layout.
+//!
+//! Every `&mut self` method bumps the store's generation, so a reader that
+//! keeps what it read can tell whether the store changed since: it keeps a
+//! [`Stamp`] and asks [`Db::is_at`].
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Weak};
 
 use crate::intern::{Interner, Symbol};
-use crate::query::Query;
+use crate::query::{Filters, Query};
 
 /// §5.9 logical bytes of one row outside its strings: the row struct (a
 /// `String` measurement, a `u64` timestamp and two `BTreeMap`s, as the
@@ -98,6 +103,14 @@ impl Rows {
     }
 }
 
+/// One state of one store, as [`Db::stamp`] saw it. The default stamp
+/// names no store.
+#[derive(Clone, Debug, Default)]
+pub struct Stamp {
+    store: Weak<()>,
+    generation: u64,
+}
+
 /// An in-memory time-series database.
 #[derive(Debug, Default)]
 pub struct Db {
@@ -116,11 +129,36 @@ pub struct Db {
     /// [`Db::publish_metrics`].
     unpublished_points: u64,
     unpublished_series: u64,
+    /// Bumped by every `&mut self` method.
+    generation: u64,
+    /// What a [`Stamp`] names the store by. A stamp holds a weak
+    /// reference to it, so no later store can take its address while the
+    /// stamp lives.
+    identity: Arc<()>,
 }
 
 impl Db {
     pub fn new() -> Db {
         Db::default()
+    }
+
+    fn bump(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+    }
+
+    /// The store's current state, for a later [`Db::is_at`].
+    pub fn stamp(&self) -> Stamp {
+        Stamp {
+            store: Arc::downgrade(&self.identity),
+            generation: self.generation,
+        }
+    }
+
+    /// Is this the store `stamp` was taken of, with no `&mut self` call
+    /// since? False for any other store, a replacement included.
+    pub fn is_at(&self, stamp: &Stamp) -> bool {
+        stamp.generation == self.generation
+            && std::ptr::eq(stamp.store.as_ptr(), Arc::as_ptr(&self.identity))
     }
 
     /// Resolve (creating if needed) the series for `measurement` + `tags`,
@@ -140,6 +178,7 @@ impl Db {
         tags: &[(&str, &str)],
         fields: &[&str],
     ) -> SeriesId {
+        self.bump();
         let mut sorted_tags: Vec<(&str, &str)> = tags.to_vec();
         sorted_tags.sort_by_key(|&(k, _)| k);
         let mut key = String::from(measurement);
@@ -202,6 +241,7 @@ impl Db {
     /// ([`Db::reserve`]). A timestamp below its predecessor is kept and
     /// sorted lazily on query.
     pub fn ingest(&mut self, id: SeriesId, ts: u64, values: &[f64]) {
+        self.bump();
         let s = &mut self.series[id.index()];
         assert_eq!(
             values.len(),
@@ -230,6 +270,7 @@ impl Db {
     /// per row, so it only counts; callers publish once per batch (a
     /// profiled epoch, a fleet round).
     pub fn publish_metrics(&mut self) {
+        self.bump();
         if self.unpublished_points > 0 {
             obs::metrics::counter_add("tsdb.points", self.unpublished_points);
         }
@@ -244,6 +285,7 @@ impl Db {
     /// every column), so a known batch of [`Db::ingest`] calls performs
     /// zero allocations.
     pub fn reserve(&mut self, id: SeriesId, additional: usize) {
+        self.bump();
         let s = &mut self.series[id.index()];
         s.ts.reserve(additional);
         for c in &mut s.cols {
@@ -306,11 +348,15 @@ impl Db {
 
     /// Delete every point of `measurement` with a timestamp in
     /// `[start, stop)` (Flux `delete(start:, stop:)`); returns the number
-    /// of points removed. An emptied series returns its key bytes to the
-    /// footprint accounting (its handle stays valid and it may be
-    /// repopulated). A reversed or empty range deletes nothing.
+    /// of points removed. An in-order series loses one contiguous run of
+    /// rows, found by binary search and cut from each column at once; an
+    /// out-of-order series is filtered row by row. An emptied series
+    /// returns its key bytes to the footprint accounting (its handle stays
+    /// valid and it may be repopulated). A reversed or empty range deletes
+    /// nothing.
     pub fn delete_range(&mut self, measurement: &str, start: u64, stop: u64) -> usize {
         let _span = obs::span!("tsdb.delete");
+        self.bump();
         if stop <= start {
             return 0;
         }
@@ -324,29 +370,37 @@ impl Db {
                 continue;
             }
             let n = s.ts.len();
-            let mut kept = 0usize;
-            for i in 0..n {
-                let t = s.ts[i];
-                if t < start || t >= stop {
-                    if kept != i {
-                        s.ts[kept] = t;
-                        for c in s.cols.iter_mut() {
-                            c.values[kept] = c.values[i];
-                        }
-                    }
-                    kept += 1;
+            if s.sorted {
+                let lo = s.ts.partition_point(|&t| t < start);
+                let hi = s.ts.partition_point(|&t| t < stop);
+                s.ts.drain(lo..hi);
+                for c in s.cols.iter_mut() {
+                    c.values.drain(lo..hi);
                 }
-            }
-            if kept != n {
-                removed += n - kept;
-                freed += (n - kept) * s.row_bytes;
+            } else {
+                let mut kept = 0usize;
+                for i in 0..n {
+                    let t = s.ts[i];
+                    if t < start || t >= stop {
+                        if kept != i {
+                            s.ts[kept] = t;
+                            for c in s.cols.iter_mut() {
+                                c.values[kept] = c.values[i];
+                            }
+                        }
+                        kept += 1;
+                    }
+                }
                 s.ts.truncate(kept);
                 for c in s.cols.iter_mut() {
                     c.values.truncate(kept);
                 }
-                if kept == 0 {
-                    freed += s.key_len;
-                }
+            }
+            let gone = n - s.ts.len();
+            removed += gone;
+            freed += gone * s.row_bytes;
+            if gone == n {
+                freed += s.key_len;
             }
         }
         self.points -= removed;
@@ -361,41 +415,26 @@ impl Db {
     // Query plumbing (crate-internal, used by `query::Query`)
     // -----------------------------------------------------------------
 
-    /// Live series of `measurement` whose tag set satisfies every
-    /// `filters` pair, in canonical key order. A measurement, tag key, or
-    /// tag value the store has never interned matches nothing.
-    pub(crate) fn matching_series(
-        &self,
-        measurement: &str,
-        filters: &[(String, String)],
-    ) -> Vec<SeriesId> {
-        let Some(m) = self.interner.lookup(measurement) else {
-            return Vec::new();
-        };
-        let mut fsyms = Vec::with_capacity(filters.len());
-        for (k, v) in filters {
-            let (Some(ks), Some(vs)) = (self.interner.lookup(k), self.interner.lookup(v)) else {
-                return Vec::new();
-            };
-            fsyms.push((ks, vs));
-        }
-        self.index
-            .values()
-            .copied()
-            .filter(|id| {
-                let s = &self.series[id.index()];
-                s.measurement == m
-                    && !s.ts.is_empty()
-                    && fsyms
-                        .iter()
-                        .all(|&(k, v)| s.tags.iter().any(|&(tk, tv)| tk == k && tv == v))
-            })
-            .collect()
+    /// Live series of `measurement` whose tag set holds every `filters`
+    /// pair, in canonical key order.
+    pub(crate) fn matching<'s>(
+        &'s self,
+        measurement: Symbol,
+        filters: &'s Filters,
+    ) -> impl Iterator<Item = SeriesId> + 's {
+        self.index.values().copied().filter(move |id| {
+            let s = &self.series[id.index()];
+            s.measurement == measurement
+                && !s.ts.is_empty()
+                && filters
+                    .iter()
+                    .all(|&(k, v)| s.tags.iter().any(|&(tk, tv)| tk == k && tv == v))
+        })
     }
 
-    /// Resolve a field name without interning.
-    pub(crate) fn field_symbol(&self, field: &str) -> Option<Symbol> {
-        self.interner.lookup(field)
+    /// Resolve a measurement, tag or field text without interning.
+    pub(crate) fn symbol(&self, text: &str) -> Option<Symbol> {
+        self.interner.lookup(text)
     }
 
     /// Row indices of `id` within `range`, in stable time order (lazy
@@ -450,6 +489,32 @@ impl Db {
     /// Count one series' rows within `range`.
     pub(crate) fn count_rows(&self, id: SeriesId, range: Option<(u64, u64)>) -> usize {
         self.rows_in(id, range).count()
+    }
+
+    /// Where a merge can read `field`'s rows of series `id` within `range`
+    /// in place: the field's column and a contiguous run of rows. `None`
+    /// when the series lacks the field or is out of order.
+    pub(crate) fn in_place(
+        &self,
+        id: SeriesId,
+        field: Symbol,
+        range: Option<(u64, u64)>,
+    ) -> Option<(usize, std::ops::Range<usize>)> {
+        let s = &self.series[id.index()];
+        if !s.sorted {
+            return None;
+        }
+        let col = s.cols.iter().position(|c| c.name == field)?;
+        match self.rows_in(id, range) {
+            Rows::Sorted(rows) => Some((col, rows)),
+            Rows::Perm(_) => None,
+        }
+    }
+
+    /// Row `i` of series `id`: its timestamp and column `col`'s value.
+    pub(crate) fn row(&self, id: SeriesId, col: usize, i: usize) -> (u64, f64) {
+        let s = &self.series[id.index()];
+        (s.ts[i], s.cols[col].values[i])
     }
 }
 

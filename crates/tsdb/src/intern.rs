@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 /// An interned string: a dense id in first-seen order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct Symbol(u32);
 
 /// A deterministic, insertion-ordered string table.

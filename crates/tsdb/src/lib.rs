@@ -9,9 +9,13 @@
 //!   in per-series timestamp/field columns. [`db::Db::series_handle`]
 //!   creates a series with its columns; [`db::Db::ingest`], the one write
 //!   path, appends a full row and is allocation-free in steady state (see
-//!   PERFORMANCE.md).
+//!   PERFORMANCE.md). Every `&mut` method bumps the store's generation, so
+//!   a reader holding a [`db::Stamp`] can tell whether the store changed
+//!   since ([`db::Db::is_at`]).
 //! * [`query::Query`] — a small Flux-like builder
-//!   (`from("path_set").filter("path.dst","LLC").range(a,b)`).
+//!   (`from("path_set").filter("path.dst","LLC").range(a,b)`) that
+//!   allocates nothing, and [`db::Db::sum_per_ts`], which sums several
+//!   queries per timestamp, reading in-order columns in place.
 //! * [`ops`] — `min`/`max`/`mean`/`sum`/`moving_average`/`rate` operators.
 //! * [`tsa`] — Holt-Winters forecasting (`holtWinters()`), Pearson
 //!   correlation (`pearsonr()`), and the window-clustering step PathFinder
@@ -25,5 +29,5 @@ pub mod ops;
 pub mod query;
 pub mod tsa;
 
-pub use db::{Db, SeriesId};
-pub use query::Query;
+pub use db::{Db, SeriesId, Stamp};
+pub use query::{Merge, Query};

@@ -14,21 +14,56 @@
 //! assert_eq!(series, vec![(5, 3.0)]);
 //! ```
 //!
-//! Queries run over the columnar store: tag filters resolve to interned
-//! symbols once per query (never seen → no match), matching series are
-//! visited in canonical key order, and each series yields its rows in time
-//! order — in-order series skip re-sorting entirely (binary-searched range
+//! Queries run over the columnar store. A query resolves its measurement
+//! and each tag filter to interned symbols as they are given (text the
+//! store never saw matches nothing) and keeps no string, so building and
+//! running one allocates nothing. Matching series are visited in
+//! canonical key order, and each series yields its rows in time order:
+//! in-order series skip re-sorting entirely (binary-searched range
 //! bounds), out-of-order series fall back to a stable permutation. When
 //! more than one series contributes, a final stable sort merges them, so
 //! tied timestamps surface in series-key order.
+//!
+//! [`Db::sum_per_ts`] sums the rows of several queries per timestamp in
+//! one k-way merge that reads in-order columns where they lie.
 
 use crate::db::{Db, SeriesId};
+use crate::intern::Symbol;
+
+/// Filters a query keeps without allocating; more spill to the heap.
+const INLINE_FILTERS: usize = 4;
+
+/// A query's tag filters as interned `(key, value)` pairs.
+#[derive(Default)]
+pub(crate) struct Filters {
+    inline: [(Symbol, Symbol); INLINE_FILTERS],
+    len: usize,
+    more: Vec<(Symbol, Symbol)>,
+}
+
+impl Filters {
+    fn push(&mut self, pair: (Symbol, Symbol)) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = pair;
+                self.len += 1;
+            }
+            None => self.more.push(pair),
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &(Symbol, Symbol)> {
+        self.inline[..self.len].iter().chain(&self.more)
+    }
+}
 
 /// A lazily-evaluated query over one measurement.
 pub struct Query<'a> {
     db: &'a Db,
-    measurement: String,
-    tag_filters: Vec<(String, String)>,
+    /// `None` once the measurement, a filter key or a filter value is text
+    /// the store never saw: the query then matches nothing.
+    measurement: Option<Symbol>,
+    filters: Filters,
     range: Option<(u64, u64)>,
 }
 
@@ -36,15 +71,18 @@ impl<'a> Query<'a> {
     pub(crate) fn new(db: &'a Db, measurement: &str) -> Query<'a> {
         Query {
             db,
-            measurement: measurement.into(),
-            tag_filters: Vec::new(),
+            measurement: db.symbol(measurement),
+            filters: Filters::default(),
             range: None,
         }
     }
 
     /// Require an exact tag match (Flux `filter(fn: (r) => r.k == v)`).
-    pub fn filter(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.tag_filters.push((key.into(), value.into()));
+    pub fn filter(mut self, key: impl AsRef<str>, value: impl AsRef<str>) -> Self {
+        match (self.db.symbol(key.as_ref()), self.db.symbol(value.as_ref())) {
+            (Some(k), Some(v)) => self.filters.push((k, v)),
+            _ => self.measurement = None,
+        }
         self
     }
 
@@ -55,9 +93,10 @@ impl<'a> Query<'a> {
     }
 
     /// Matching series in canonical key order.
-    fn series(&self) -> Vec<SeriesId> {
-        self.db
-            .matching_series(&self.measurement, &self.tag_filters)
+    fn series(&self) -> impl Iterator<Item = SeriesId> + '_ {
+        self.measurement
+            .into_iter()
+            .flat_map(|m| self.db.matching(m, &self.filters))
     }
 
     /// Materialise one field as a `(ts, value)` series, time-sorted;
@@ -74,7 +113,7 @@ impl<'a> Query<'a> {
         let _span = obs::span!("tsdb.query");
         obs::metrics::counter_add("tsdb.queries", 1);
         out.clear();
-        let Some(sym) = self.db.field_symbol(field) else {
+        let Some(sym) = self.db.symbol(field) else {
             return;
         };
         let mut contributing = 0usize;
@@ -93,9 +132,99 @@ impl<'a> Query<'a> {
         let _span = obs::span!("tsdb.query");
         obs::metrics::counter_add("tsdb.queries", 1);
         self.series()
-            .into_iter()
             .map(|id| self.db.count_rows(id, self.range))
             .sum()
+    }
+}
+
+/// The cursors of [`Db::sum_per_ts`]. A caller that keeps one across
+/// merges reuses its capacity, so a merge of in-order series allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct Merge {
+    heads: Vec<Head>,
+    /// Rows of the series a merge cannot read in place, each run sorted.
+    spill: Vec<(u64, f64)>,
+}
+
+/// One contributing series' unread rows: `pos..end` of a column (series,
+/// column index) of the store, or of [`Merge::spill`] when `column` is
+/// `None`.
+#[derive(Debug)]
+struct Head {
+    column: Option<(SeriesId, usize)>,
+    pos: usize,
+    end: usize,
+}
+
+impl Db {
+    /// Sum `field` per timestamp over the rows each of `queries` selects,
+    /// into `out` in time order. Each sum starts from `0.0` and adds the
+    /// queries' rows in query order, each query's series in canonical key
+    /// order, each series' rows in time order (ties in arrival order): the
+    /// order in which accumulating each query's [`Query::values`] into
+    /// per-timestamp totals, one query after another, adds them, so every
+    /// sum has that order's bits.
+    ///
+    /// In-order series are read where they lie. An out-of-order series,
+    /// or a series of a query on another store, is first copied into
+    /// `merge`'s spill buffer in time order.
+    pub fn sum_per_ts<'q>(
+        &self,
+        queries: impl IntoIterator<Item = Query<'q>>,
+        field: &str,
+        merge: &mut Merge,
+        out: &mut Vec<(u64, f64)>,
+    ) {
+        let _span = obs::span!("tsdb.query");
+        let Merge { heads, spill } = merge;
+        heads.clear();
+        spill.clear();
+        out.clear();
+        let mut n_queries = 0;
+        for q in queries {
+            n_queries += 1;
+            let Some(sym) = q.db.symbol(field) else {
+                continue;
+            };
+            let home = std::ptr::eq(q.db, self);
+            for id in q.series() {
+                match home.then(|| self.in_place(id, sym, q.range)).flatten() {
+                    Some((col, rows)) => heads.push(Head {
+                        column: Some((id, col)),
+                        pos: rows.start,
+                        end: rows.end,
+                    }),
+                    None => {
+                        let pos = spill.len();
+                        q.db.collect_values(id, sym, q.range, spill);
+                        heads.push(Head {
+                            column: None,
+                            pos,
+                            end: spill.len(),
+                        });
+                    }
+                }
+            }
+        }
+        obs::metrics::counter_add("tsdb.queries", n_queries);
+        let row = |h: &Head| {
+            (h.pos < h.end).then(|| match h.column {
+                Some((id, col)) => self.row(id, col, h.pos),
+                None => spill[h.pos],
+            })
+        };
+        out.reserve(heads.iter().map(|h| h.end - h.pos).max().unwrap_or(0));
+        while let Some(ts) = heads.iter().filter_map(|h| row(h).map(|(t, _)| t)).min() {
+            let mut sum = 0.0;
+            for h in heads.iter_mut() {
+                while let Some((_, v)) = row(h).filter(|&(t, _)| t == ts) {
+                    sum += v;
+                    h.pos += 1;
+                }
+            }
+            out.push((ts, sum));
+        }
     }
 }
 

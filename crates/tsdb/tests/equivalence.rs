@@ -251,3 +251,48 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// In-order series lose a deleted range as one cut per column. Every
+    /// ingest here moves a shared clock forward, so each series stays in
+    /// order, and each delete cuts at the head (from 0), in the middle, or
+    /// at the tail (to `u64::MAX`) of what the store holds.
+    #[test]
+    fn in_order_cuts_match_reference_model(
+        ops in proptest::collection::vec(
+            (0u8..8, 0u8..4, 0u8..4, 0u8..8, 0u64..40, 0u64..1_000),
+            1..160,
+        ),
+    ) {
+        let mut db = Db::new();
+        let mut model = ModelDb::default();
+        let mut now = 0u64;
+        for &(kind, m_idx, core, sel, step, at) in &ops {
+            now += step;
+            if kind < 6 {
+                apply_op(&mut db, &mut model, &(kind, m_idx, core, sel, now, 0));
+                continue;
+            }
+            let measurement = MEASUREMENTS[m_idx as usize % MEASUREMENTS.len()];
+            let cut = at % (now + 1);
+            let (start, stop) = match sel % 3 {
+                0 => (0, cut),
+                1 => (cut, cut + step),
+                _ => (cut, u64::MAX),
+            };
+            prop_assert_eq!(
+                db.delete_range(measurement, start, stop),
+                model.delete_range(measurement, start, stop)
+            );
+            prop_assert_eq!(db.len(), model.rows.len());
+            prop_assert_eq!(db.footprint_bytes(), model.footprint_bytes());
+        }
+        prop_assert_eq!(db.n_series(), model.n_series());
+        for &m in MEASUREMENTS {
+            assert_same_rows(&db, &model, m, &[], None);
+            assert_same_rows(&db, &model, m, &[], Some((now / 3, now / 3 * 2)));
+        }
+    }
+}

@@ -30,12 +30,34 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # private item, so a deleted or renamed item cannot leave a dangling link.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+obs_out="$(mktemp -d)"
+trap 'rm -rf "$obs_out"' EXIT
+
+# Deterministic cost gate (ROADMAP item 1(a), PERFORMANCE.md): a traced
+# smoke run of every benchmark workload on seed 1 prints per-layer rows
+# that repeat exactly for a seed, because each counts a fixed number of
+# epochs: simulated ops and allocator calls per epoch, tsdb points, rows
+# and bytes, fleet round rows and samples, and the simulation digest.
+# They must equal scripts/deterministic_rows.txt, so one added allocation
+# or simulated op per epoch fails here with no timing involved. A change
+# that moves a row on purpose updates the file and gives the reason in
+# CHANGES.md. Wall-clock rows stay advisory.
+echo "==> benchmark deterministic rows vs scripts/deterministic_rows.txt"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    run --smoke --trace 1 --seed 1 --out "$obs_out/smoke.jsonl" > "$obs_out/smoke.txt"
+awk '
+    /^== / { workload = $2; next }
+    $1 == "simarch.ops_per_epoch" || $1 ~ /\.allocs_per_epoch$/ || $1 == "sim_digest" ||
+    $1 ~ /^core\.materializer\.(points_per_epoch|rows_scanned|query_allocs)$/ ||
+    $1 ~ /^tsdb\.(footprint|resident)_bytes$/ || $1 ~ /^fleetd\.round\.(rows|samples)$/ {
+        print workload, $1, $2
+    }
+' "$obs_out/smoke.txt" | diff -u scripts/deterministic_rows.txt -
+
 # Observability acceptance (OBSERVABILITY.md): a figure run with
 # --timings-json must emit valid pathfinder-obs-v1 JSON containing the two
 # mandatory top-level phases. The same run regenerates the full-size fig6
 # golden, which must be byte-identical: timing the run must not change it.
-obs_out="$(mktemp -d)"
-trap 'rm -rf "$obs_out"' EXIT
 run cargo run --release -p bench --bin fig6_stall_breakdown -- \
     --timings-json "$obs_out/timings.json"
 run git diff --exit-code crates/bench/out/fig6_stall_breakdown.csv
