@@ -1,13 +1,16 @@
-//! Shared harness for the figure/table regeneration binaries.
+//! Shared harness for the figure/table regeneration runs.
 //!
-//! Every binary in `src/bin/` regenerates one artefact from the paper's
-//! evaluation (see DESIGN.md §3 for the index). The helpers here run a
-//! configured scenario on the simulated machine, return the whole-run
-//! counter delta, and write results both as an aligned text table on stdout
-//! and as CSV under `bench/out/`.
+//! Each module of [`figures`] regenerates one artefact from the paper's
+//! evaluation (see DESIGN.md §3 for the index), and [`figures::RUNS`] is
+//! the one table of runs: `cargo run --release -p bench -- <figure>` runs
+//! one, `-- all` runs them all. The helpers here run a configured scenario
+//! on the simulated machine, return the whole-run counter delta, and write
+//! results both as an aligned text table on stdout and as CSV under
+//! `bench/out/`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+pub mod figures;
 pub mod scenario;
 
 use std::io::Write;
@@ -35,7 +38,7 @@ pub struct Pin {
 
 impl Pin {
     /// Pin a registry application. Fails when `app` is not in the
-    /// workloads registry — figure binaries propagate that as an I/O error
+    /// workloads registry — figures propagate that as an I/O error
     /// instead of panicking mid-regeneration.
     pub fn app(
         core: usize,
@@ -44,16 +47,10 @@ impl Pin {
         policy: MemPolicy,
         seed: u64,
     ) -> std::io::Result<Pin> {
-        let trace = workloads::build(app, ops, seed).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("app {app} missing from the workloads registry"),
-            )
-        })?;
         Ok(Pin {
             core,
             name: app.to_string(),
-            trace,
+            trace: app_trace(app, ops, seed)?,
             policy,
         })
     }
@@ -72,6 +69,17 @@ impl Pin {
             policy,
         }
     }
+}
+
+/// A registry application's trace, `workloads::build` with a missing app
+/// as an I/O error.
+pub fn app_trace(app: &str, ops: u64, seed: u64) -> std::io::Result<Box<dyn simarch::TraceSource>> {
+    workloads::build(app, ops, seed).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("app {app} missing from the workloads registry"),
+        )
+    })
 }
 
 /// Run workloads to completion on a machine; return the whole-run counter
@@ -158,8 +166,8 @@ pub fn out_dir() -> std::io::Result<PathBuf> {
 
 /// Write a CSV artefact and echo its path, relative to the workspace root
 /// so captured stdout does not depend on where the checkout lives (a path
-/// outside the workspace as given). I/O failures propagate so the figure
-/// binaries exit nonzero instead of panicking mid-run.
+/// outside the workspace as given). I/O failures propagate so `bench`
+/// exits nonzero instead of panicking mid-run.
 pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
     let path = out_dir()?.join(name);
     let mut f = std::fs::File::create(&path)?;
@@ -208,48 +216,6 @@ pub const SIX_APPS: [&str; 6] = [
     "507.cactuBSSN_r",
     "649.fotonik3d_s",
 ];
-
-/// Start an observability session from the process argv. Every figure
-/// binary accepts `--timings`, `--timings-json <path>`, and
-/// `--trace-json <path>` (see OBSERVABILITY.md); call
-/// [`obs::cli::Session::finish`] before returning so the artefacts are
-/// written.
-pub fn obs_session() -> obs::cli::Session {
-    obs::cli::Session::from_env()
-}
-
-/// Parse `--emr` from argv: all §3 figure binaries accept it to regenerate
-/// the EMR variants (paper Figures 14-16).
-pub fn platform_from_args() -> MachineConfig {
-    if std::env::args().any(|a| a == "--emr") {
-        MachineConfig::emr()
-    } else {
-        MachineConfig::spr()
-    }
-}
-
-/// Parse `--jobs N` from argv: every figure binary accepts it to fan its
-/// scenario grid across worker threads (output stays byte-identical to
-/// `--jobs 1`; see [`scenario::map_scenarios`]).
-pub fn jobs_from_args() -> scenario::Jobs {
-    scenario::Jobs::from_args()
-}
-
-/// Parse `--ops N` from argv.
-pub fn ops_from_args() -> u64 {
-    ops_from_args_or(DEFAULT_OPS)
-}
-
-/// [`ops_from_args`] with a binary-specific default — fabric figures run
-/// several multi-host scenarios per invocation and keep a smaller budget.
-pub fn ops_from_args_or(default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--ops")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,17 @@
+//! `bench <figure>` or `bench all`: regenerate the paper's figures and
+//! tables from the figure table (`bench::figures::RUNS`). A command line
+//! the table does not run prints the usage and exits 2 before any run.
+
+use bench::figures::{usage, Command};
+
+fn main() -> std::io::Result<()> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let (obs_args, args) = obs::cli::ObsArgs::strip(&raw);
+    let Some(command) = Command::parse(&args) else {
+        eprint!("{}", usage());
+        std::process::exit(2);
+    };
+    let session = obs::cli::Session::new(obs_args);
+    command.run()?;
+    session.finish()
+}

@@ -1,6 +1,6 @@
 //! Deterministic fan-out of independent simulation scenarios.
 //!
-//! Every figure binary sweeps a grid of independent `Machine` runs (apps ×
+//! Every figure sweeps a grid of independent `Machine` runs (apps ×
 //! policies × configs). [`map_scenarios`] spreads that grid across
 //! `std::thread::scope` workers: each worker claims grid indices from a
 //! shared atomic cursor, runs the scenario closure, and tags the result
@@ -13,42 +13,9 @@
 //! Callers must keep *printing* out of the closure: run the grid first,
 //! then render tables/CSV from the merged vector.
 
-/// Number of worker threads for [`map_scenarios`]; `Serial` is the default
-/// and keeps figure binaries' stdout identical to the historical loops.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Jobs {
-    /// Run on the calling thread, no scope, no spawn.
-    Serial,
-    /// Fan out across `n` scoped workers (clamped to ≥ 1).
-    Workers(usize),
-}
-
-impl Jobs {
-    /// Parse `--jobs N` from argv (absent or `--jobs 1` → `Serial`).
-    pub fn from_args() -> Jobs {
-        let args: Vec<String> = std::env::args().collect();
-        match args
-            .iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            Some(n) if n > 1 => Jobs::Workers(n),
-            _ => Jobs::Serial,
-        }
-    }
-
-    /// Worker count (1 for `Serial`).
-    pub fn count(self) -> usize {
-        match self {
-            Jobs::Serial => 1,
-            Jobs::Workers(n) => n.max(1),
-        }
-    }
-}
-
-/// Run `f` over every item of `items`, fanning across `jobs` workers, and
-/// return the results in item order.
+/// Run `f` over every item of `items`, fanning across `jobs` workers (1 runs
+/// on the calling thread, no scope, no spawn), and return the results in
+/// item order.
 ///
 /// The closure receives `(index, &item)` and must be self-contained: it
 /// owns its `Machine`s and returns a value, it does not print. Per-machine
@@ -59,13 +26,13 @@ impl Jobs {
     clippy::disallowed_methods,
     reason = "the sanctioned fan-out: scoped workers, an atomic cursor, an index-ordered merge"
 )]
-pub fn map_scenarios<I, T, F>(jobs: Jobs, items: &[I], f: F) -> Vec<T>
+pub fn map_scenarios<I, T, F>(jobs: usize, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    if matches!(jobs, Jobs::Serial) || items.len() <= 1 {
+    if jobs <= 1 || items.len() <= 1 {
         return items
             .iter()
             .enumerate()
@@ -75,7 +42,7 @@ where
             })
             .collect();
     }
-    let workers = jobs.count().min(items.len());
+    let workers = jobs.min(items.len());
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let mut tagged: Vec<(usize, T)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
@@ -123,9 +90,9 @@ mod tests {
     fn serial_and_parallel_agree_and_preserve_order() {
         let items: Vec<u64> = (0..57).collect();
         let square = |i: usize, x: &u64| (i as u64, x * x);
-        let serial = map_scenarios(Jobs::Serial, &items, square);
+        let serial = map_scenarios(1, &items, square);
         for jobs in [2, 4, 8] {
-            let par = map_scenarios(Jobs::Workers(jobs), &items, square);
+            let par = map_scenarios(jobs, &items, square);
             assert_eq!(par, serial, "jobs={jobs} must merge in item order");
         }
     }
@@ -133,21 +100,26 @@ mod tests {
     #[test]
     fn more_workers_than_items_is_fine() {
         let items = [10u64, 20];
-        let out = map_scenarios(Jobs::Workers(16), &items, |_, x| x + 1);
+        let out = map_scenarios(16, &items, |_, x| x + 1);
         assert_eq!(out, vec![11, 21]);
     }
 
     #[test]
     fn empty_grid_returns_empty() {
         let items: [u64; 0] = [];
-        let out = map_scenarios(Jobs::Workers(4), &items, |_, x| *x);
+        let out = map_scenarios(4, &items, |_, x| *x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn jobs_one_is_serial() {
-        assert_eq!(Jobs::Serial.count(), 1);
-        assert_eq!(Jobs::Workers(0).count(), 1);
-        assert_eq!(Jobs::Workers(6).count(), 6);
+        let caller = std::thread::current().id();
+        for jobs in [0, 1] {
+            let ran_on = map_scenarios(jobs, &[1u8, 2, 3], |_, _| std::thread::current().id());
+            assert!(
+                ran_on.iter().all(|&id| id == caller),
+                "jobs={jobs} must run on the calling thread"
+            );
+        }
     }
 }

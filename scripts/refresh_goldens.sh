@@ -1,52 +1,23 @@
 #!/usr/bin/env bash
-# Regenerate every golden artefact under crates/bench/out/ — all per-figure
-# CSVs plus the captured stdout in all_figures.txt — then diff against git.
-# A clean exit means the checked-in goldens are exactly reproducible; a
-# non-zero exit shows the drift (intentional after a model change: inspect
-# the diff and commit it; unintentional: a determinism bug, see
-# STATIC_ANALYSIS.md).
+# Regenerate every golden under crates/bench/out/ (the CSVs and the stdout
+# captured in all_figures.txt) from the figure table, then require the
+# working tree to equal git's index there: the CSVs are cleared first, so
+# one that no figure writes any more shows as deleted and a newly written
+# one as untracked. Goldens staged for commit count as committed. After an
+# intentional model change, inspect the drift and stage it; otherwise it
+# is a determinism bug (STATIC_ANALYSIS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release -p bench
+out=crates/bench/out
+rm -f "$out"/*.csv
+./target/release/bench all --jobs 2 > "$out/all_figures.txt"
 
-# Sections in the order captured in all_figures.txt; `--emr` variants
-# (paper Figures 14-16) rerun the same binaries on the EMR preset and
-# regenerate the *_emr.csv goldens.
-specs=(
-    "fig0_mlc"
-    "fig2_core_pmu"
-    "fig3_cha_pmu"
-    "fig4_uncore_pmu"
-    "fig6_stall_breakdown"
-    "fig7_8_interference"
-    "fig9_10_contention"
-    "fig11_bw_partition"
-    "fig12_locality"
-    "fig13_tpp"
-    "table7_path_map"
-    "ablation_attribution"
-    "ablation_epoch"
-    "fig2_core_pmu --emr"
-    "fig3_cha_pmu --emr"
-    "fig4_uncore_pmu --emr"
-    "fig13_faults"
-    "fig14_fabric"
-)
-
-out=crates/bench/out/all_figures.txt
-: > "$out"
-for spec in "${specs[@]}"; do
-    read -r bin flags <<< "$spec"
-    echo "==> $spec"
-    {
-        echo "===== $spec ====="
-        # shellcheck disable=SC2086  # flags is intentionally word-split
-        "./target/release/$bin" $flags
-        echo
-    } >> "$out"
-done
-
-echo "==> git diff crates/bench/out"
-git --no-pager diff --exit-code -- crates/bench/out
+untracked="$(git ls-files --others --exclude-standard -- "$out")"
+if ! git --no-pager diff --exit-code -- "$out" || [ -n "$untracked" ]; then
+    [ -z "$untracked" ] || sed 's/^/untracked: /' <<< "$untracked"
+    echo "refresh_goldens: the goldens above drifted" >&2
+    exit 1
+fi
 echo "refresh_goldens: all goldens reproduced byte-identically"

@@ -58,54 +58,13 @@ awk '
 # --timings-json must emit valid pathfinder-obs-v1 JSON containing the two
 # mandatory top-level phases. The same run regenerates the full-size fig6
 # golden, which must be byte-identical: timing the run must not change it.
-run cargo run --release -p bench --bin fig6_stall_breakdown -- \
+# The other figure runs are the golden gate at the end, and
+# crates/bench/tests/golden_identity.rs compares serial and --jobs 2 runs.
+run cargo run --release -p bench -- fig6_stall_breakdown \
     --timings-json "$obs_out/timings.json"
 run git diff --exit-code crates/bench/out/fig6_stall_breakdown.csv
 run cargo run --release -p obs --bin obs_validate -- \
     "$obs_out/timings.json" epoch.machine epoch.profiler
-
-# Scenario fan-out acceptance (DESIGN.md): the same figure under --jobs 2
-# must print byte-identical output to a serial run and leave the fig6
-# golden unchanged. Complements the in-process tests by catching stray
-# printing from inside a worker.
-echo "==> fig6_stall_breakdown --jobs 2 vs serial (byte-identical stdout)"
-./target/release/fig6_stall_breakdown > "$obs_out/serial.txt"
-./target/release/fig6_stall_breakdown --jobs 2 > "$obs_out/jobs2.txt"
-diff -u "$obs_out/serial.txt" "$obs_out/jobs2.txt"
-run git diff --exit-code crates/bench/out/fig6_stall_breakdown.csv
-
-# Fault-injection smoke (FAULTS.md): the fault-diagnosis figure runs its
-# fixed deterministic fault plans and the regenerated golden must be
-# byte-identical — every injected (stage, class) diagnosed 'ok', none
-# diagnosed 'MISS', no healthy false alarm.
-run cargo run --release -p bench --bin fig13_faults
-run git diff --exit-code crates/bench/out/fig13_faults.csv
-
-# Fabric smoke (DESIGN.md §2.2.2, FAULTS.md): the multi-host figure runs
-# its cross-tenant scenarios, the regenerated golden must be
-# byte-identical (every pathology diagnosed 'ok' with the right
-# culprit/victim hosts), and a --jobs 2 rerun must print byte-identical
-# stdout to the serial run.
-run cargo run --release -p bench --bin fig14_fabric
-run git diff --exit-code crates/bench/out/fig14_fabric.csv
-echo "==> fig14_fabric --jobs 2 vs serial (byte-identical stdout)"
-./target/release/fig14_fabric > "$obs_out/fabric_serial.txt"
-./target/release/fig14_fabric --jobs 2 > "$obs_out/fabric_jobs2.txt"
-diff -u "$obs_out/fabric_serial.txt" "$obs_out/fabric_jobs2.txt"
-
-# Materializer analysis smoke (DESIGN.md, PFMaterializer): fig12 clusters
-# locality windows and correlates co-runners (`locality_windows`,
-# `orthogonality`), the epoch ablation clusters windows at five snapshot
-# granularities. Both full-size goldens must regenerate byte-identical,
-# and a fig12 --jobs 2 rerun must print byte-identical stdout to the
-# serial run.
-run cargo run --release -p bench --bin ablation_epoch
-run git diff --exit-code crates/bench/out/ablation_epoch.csv
-echo "==> fig12_locality (serial, then --jobs 2: byte-identical stdout)"
-./target/release/fig12_locality > "$obs_out/locality_serial.txt"
-run git diff --exit-code crates/bench/out/fig12_locality.csv
-./target/release/fig12_locality --jobs 2 > "$obs_out/locality_jobs2.txt"
-diff -u "$obs_out/locality_serial.txt" "$obs_out/locality_jobs2.txt"
 
 # Fleet-mode smoke (FLEET.md): a small sharded fleet serves a live
 # /metrics scrape whose Prometheus exposition validates (TYPE lines,
@@ -127,9 +86,10 @@ run cargo run --release -p obs --bin obs_validate -- \
     "$obs_out/fleet_timings.json" fleet.round fleet.shard_round \
     fleet.launch fleet.shard_build
 
-# Golden gate (EXPERIMENTS.md): every figure binary reruns at full size
-# and all CSVs under crates/bench/out, plus the captured stdout in
-# all_figures.txt, must regenerate byte-identical to the committed files.
+# Golden gate (EXPERIMENTS.md): every row of the figure table reruns at
+# full size (`bench all --jobs 2`), and the CSVs under crates/bench/out,
+# plus the captured stdout in all_figures.txt, must regenerate
+# byte-identical to the committed files, with none added or missing.
 run scripts/refresh_goldens.sh
 
 echo "tier1: all gates passed"
