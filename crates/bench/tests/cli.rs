@@ -18,6 +18,8 @@ fn bad_command_lines_print_usage_and_write_no_csv() {
         &["fig6_stall_breakdown", "--emr"],
         &["all", "--emr"],
         &["all", "--ops", "5"],
+        &["fig6_stall_breakdown", "--timings-json"],
+        &["fig6_stall_breakdown", "--trace-json", "--jobs", "2"],
     ] {
         let _ = std::fs::remove_dir_all(&scratch);
         let out = Command::new(env!("CARGO_BIN_EXE_bench"))

@@ -104,7 +104,10 @@ fn profile(app: &str, o: &Opts) -> (pathfinder::Report, Profiler) {
 
 fn main() -> std::io::Result<()> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs_args, args) = obs::cli::ObsArgs::strip(&raw);
+    let (obs_args, args) = obs::cli::ObsArgs::strip(&raw).unwrap_or_else(|e| {
+        eprintln!("pathfinder: {e}");
+        usage()
+    });
     let session = obs::cli::Session::new(obs_args);
     match args.first().map(String::as_str) {
         Some("list-counters") => {

@@ -1,122 +1,10 @@
-//! Fleet roll-ups: a mergeable log2 histogram and per-counter aggregates.
+//! Fleet roll-ups: per-counter aggregates across hosts.
 //!
-//! `obs::metrics::Histogram` is process-global and has no merge API, so
-//! the shards carry their own [`Log2Hist`] — same bucketing scheme (one
-//! bucket per power of two), but a plain value type that merges across
-//! shard reports. The coordinator folds per-shard histograms into fleet
-//! percentiles (p50/p95/p99 of each counter's per-host cumulative value).
-//!
-//! Everything here is on the daemon surface: panic-free by construction
-//! (no indexing, no unchecked division).
-
-/// Number of log2 buckets; bucket `i` holds values in `[2^(i-1), 2^i)`
-/// (bucket 0 holds zero), with the top bucket absorbing the rest.
-pub const HIST_BUCKETS: usize = 64;
-
-/// A mergeable log2 histogram over `u64` samples.
-#[derive(Clone, Debug)]
-pub struct Log2Hist {
-    counts: [u64; HIST_BUCKETS],
-    count: u64,
-    min: u64,
-    max: u64,
-    sum: u128,
-}
-
-impl Default for Log2Hist {
-    fn default() -> Log2Hist {
-        Log2Hist::new()
-    }
-}
-
-impl Log2Hist {
-    pub fn new() -> Log2Hist {
-        Log2Hist {
-            counts: [0; HIST_BUCKETS],
-            count: 0,
-            min: u64::MAX,
-            max: 0,
-            sum: 0,
-        }
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        ((u64::BITS - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: u64) {
-        if let Some(c) = self.counts.get_mut(Self::bucket_of(v)) {
-            *c += 1;
-        }
-        self.count += 1;
-        self.sum += u128::from(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Log2Hist) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum as f64 / self.count as f64
-    }
-
-    /// The `q`-quantile (e.g. `0.99`), clamped to the observed min/max.
-    /// Returns 0 for an empty histogram.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            cum += *c;
-            if cum >= rank {
-                // Upper edge of bucket i, clamped into the observed range.
-                let hi = if i == 0 {
-                    0
-                } else if i >= HIST_BUCKETS - 1 {
-                    u64::MAX
-                } else {
-                    (1u64 << i).wrapping_sub(1)
-                };
-                return hi.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Render as an obs snapshot so `obs::prom::PromText::summary` can
-    /// emit it directly.
-    pub fn snapshot(&self) -> obs::metrics::HistSnapshot {
-        obs::metrics::HistSnapshot {
-            count: self.count,
-            min: if self.count == 0 { 0 } else { self.min },
-            max: self.max,
-            mean: self.mean(),
-            p50: self.percentile(0.50),
-            p95: self.percentile(0.95),
-            p99: self.percentile(0.99),
-        }
-    }
-}
+//! Each shard records every counter's per-host cumulative value in an
+//! `obs::metrics::Histogram` (one log2 bucket per power of two) and sums
+//! it; the coordinator merges the shards' histograms and sums into one
+//! [`CounterStat`] per counter: the fleet sum and the p50/p95/p99 of the
+//! per-host values.
 
 /// One counter's fleet-wide roll-up: the sum and the distribution of
 /// per-host cumulative values.
@@ -126,51 +14,4 @@ pub struct CounterStat {
     pub p50: u64,
     pub p95: u64,
     pub p99: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_hist_is_zero() {
-        let h = Log2Hist::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.percentile(0.99), 0);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn percentiles_clamp_to_observed_range() {
-        let mut h = Log2Hist::new();
-        h.record(1000);
-        assert_eq!(h.percentile(0.5), 1000, "single sample is every quantile");
-        h.record(1000);
-        h.record(1000);
-        h.record(4000);
-        let p50 = h.percentile(0.5);
-        assert!((1000..=1023).contains(&p50), "p50 {p50} in bucket of 1000");
-        assert!(h.percentile(0.99) <= 4000);
-    }
-
-    #[test]
-    fn merge_matches_sequential_recording() {
-        let mut a = Log2Hist::new();
-        let mut b = Log2Hist::new();
-        let mut all = Log2Hist::new();
-        for v in [0u64, 1, 7, 63, 900, 1 << 40] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [2u64, 5000, u64::MAX] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(a.percentile(q), all.percentile(q));
-        }
-        assert_eq!(a.snapshot().max, u64::MAX);
-    }
 }

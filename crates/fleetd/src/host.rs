@@ -1,5 +1,6 @@
 //! One simulated host: a small [`Machine`] plus its cumulative counter
-//! totals in `pmu::registry::all_events()` column order.
+//! totals in `pmu::registry::all_events()` column order, read from the
+//! machine's free-running counters by `pmu::SystemPmu::totals_into`.
 //!
 //! Host identity is the only input to a host's behaviour: its workload is
 //! picked by the low two bits of `id` from [`FLEET_APPS`], its placement
@@ -10,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use pmu::{ChaEvent, CoreEvent, CxlEvent, ImcEvent, M2pEvent, SystemDelta, SystemSnapshot};
+use pmu::{CoreEvent, Event};
 use simarch::{Machine, MachineConfig, MemPolicy, Workload};
 
 /// The workload mix, assigned round-robin by host id.
@@ -45,7 +46,6 @@ fn mix_seed(fleet_seed: u64, id: u32) -> u64 {
 pub struct HostSim {
     pub id: u32,
     machine: Machine,
-    prev: SystemSnapshot,
     /// Cumulative counter totals, registry column order.
     pub totals: Vec<u64>,
     /// Epochs simulated so far (the ingest timestamp).
@@ -76,34 +76,29 @@ impl HostSim {
             .ok_or_else(|| format!("workload registry has no app `{app}`"))?;
         let mut machine = Machine::new(host_config());
         machine.attach(0, Workload::new(app, trace, policy));
-        let prev = machine.pmu.snapshot(machine.now());
         Ok(HostSim {
             id,
             machine,
-            prev,
             totals: vec![0; columns],
             epochs_done: 0,
             stream: String::new(),
         })
     }
 
-    /// Advance `epochs` epochs; fold the counter delta into `totals` and
-    /// optionally append one CSV line to the recorded stream.
+    /// Advance `epochs` epochs; read the machine's cumulative counters
+    /// into `totals` and optionally append one CSV line to the recorded
+    /// stream.
     pub fn advance(&mut self, epochs: u64, record_stream: bool) {
         if epochs == 0 {
             return;
         }
-        // Every retired snapshot goes back to the machine, which
+        // Every snapshot goes straight back to the machine, which
         // overwrites it in place next epoch instead of cloning the PMU.
-        for _ in 1..epochs {
+        for _ in 0..epochs {
             let snap = self.machine.run_epoch().snapshot;
             self.machine.recycle_snapshot(snap);
         }
-        let snap = self.machine.run_epoch().snapshot;
-        let delta = snap.delta(&self.prev);
-        accumulate(&delta, &mut self.totals);
-        self.machine
-            .recycle_snapshot(std::mem::replace(&mut self.prev, snap));
+        self.machine.pmu.totals_into(&mut self.totals);
         self.epochs_done += epochs;
         if record_stream {
             let _ = write!(self.stream, "{},{}", self.id, self.epochs_done);
@@ -114,51 +109,12 @@ impl HostSim {
         }
     }
 
-    /// Headline counters for per-host exposition, resolved through
-    /// [`headline_indices`]: (instructions retired, unhalted cycles).
-    pub fn headline(&self, indices: &[usize; 2]) -> [u64; 2] {
-        let mut out = [0u64; 2];
-        for (slot, i) in out.iter_mut().zip(indices.iter()) {
-            if let Some(v) = self.totals.get(*i) {
-                *slot = *v;
-            }
-        }
-        out
-    }
-}
-
-/// Column indices of the headline counters (`inst_retired.any`,
-/// `cpu_clk_unhalted.thread`) in the registry-ordered totals.
-pub fn headline_indices() -> [usize; 2] {
-    let all = CoreEvent::all();
-    let pos = |ev: CoreEvent| all.iter().position(|e| *e == ev).unwrap_or(0);
-    [pos(CoreEvent::InstRetired), pos(CoreEvent::CpuClkUnhalted)]
-}
-
-/// Fold a system delta into cumulative totals, registry column order
-/// (Core → CHA → IMC → M2PCIe → CXL, each in `all()` order — exactly the
-/// order `pmu::registry::all_events()` reports).
-pub fn accumulate(delta: &SystemDelta, totals: &mut [u64]) {
-    let mut it = totals.iter_mut();
-    let mut add = |v: u64| {
-        if let Some(t) = it.next() {
-            *t += v;
-        }
-    };
-    for ev in CoreEvent::all() {
-        add(delta.core_sum(ev));
-    }
-    for ev in ChaEvent::all() {
-        add(delta.cha_sum(ev));
-    }
-    for ev in ImcEvent::all() {
-        add(delta.imc_sum(ev));
-    }
-    for ev in M2pEvent::all() {
-        add(delta.m2p_sum(ev));
-    }
-    for ev in CxlEvent::all() {
-        add(delta.cxl_sum(ev));
+    /// Headline counters for per-host exposition: (instructions retired,
+    /// unhalted cycles). Core events lead the registry order, so a core
+    /// event's column is its index.
+    pub fn headline(&self) -> [u64; 2] {
+        [CoreEvent::InstRetired, CoreEvent::CpuClkUnhalted]
+            .map(|ev| self.totals.get(ev.index()).copied().unwrap_or(0))
     }
 }
 

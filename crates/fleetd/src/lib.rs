@@ -14,9 +14,10 @@
 //! Layering (see FLEET.md for the full architecture):
 //!
 //! * [`host`] — one simulated host: a small `Machine` plus cumulative
-//!   counter totals in `pmu::registry::all_events()` column order;
-//! * [`aggregate`] — a mergeable log2 histogram and per-counter fleet
-//!   roll-ups (sum + p50/p95/p99 across hosts);
+//!   counter totals in `pmu::registry::all_events()` column order, read
+//!   from the machine's counters by `pmu::SystemPmu::totals_into`;
+//! * [`aggregate`] — per-counter fleet roll-ups (sum + p50/p95/p99 across
+//!   hosts, from merged `obs::metrics::Histogram`s);
 //! * [`shard`] — the only concurrency in the crate, each use under an
 //!   item-level `#[expect]` of the root `clippy.toml`'s bans: worker
 //!   threads, command and report channels, the shared scrape snapshot,

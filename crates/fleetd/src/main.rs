@@ -126,7 +126,7 @@ fn scrape(addr: &str) -> Result<String, String> {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (obs_args, rest) = obs::cli::ObsArgs::strip(&args);
+    let (obs_args, rest) = obs::cli::ObsArgs::strip(&args)?;
     let session = obs::cli::Session::new(obs_args);
     // The daemon's self-metrics are its product, not an opt-in debug
     // artefact: record regardless of which obs flags were passed.

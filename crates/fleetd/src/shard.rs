@@ -41,7 +41,9 @@ use std::thread::JoinHandle;
 
 use tsdb::{Db, SeriesId};
 
-use crate::aggregate::{CounterStat, Log2Hist};
+use obs::metrics::Histogram;
+
+use crate::aggregate::CounterStat;
 use crate::host::{self, HostSim};
 use crate::FleetConfig;
 
@@ -72,7 +74,7 @@ struct ShardReport {
     /// Per-counter partial sums of cumulative host totals.
     sums: Vec<u64>,
     /// Per-counter distributions of cumulative host totals.
-    hists: Vec<Log2Hist>,
+    hists: Vec<Histogram>,
     /// `(host id, [inst_retired, cycles])` for per-host exposition.
     headline: Vec<(u32, [u64; 2])>,
 }
@@ -287,7 +289,7 @@ impl Fleet {
         }
         let columns = self.names.len();
         let mut sums = vec![0u64; columns];
-        let mut hists = vec![Log2Hist::new(); columns];
+        let mut hists = vec![Histogram::default(); columns];
         let mut headline = Vec::with_capacity(self.cfg.hosts as usize);
         let mut epochs = 0u64;
         let mut points = 0u64;
@@ -323,9 +325,9 @@ impl Fleet {
             .zip(hists.iter())
             .map(|(s, h)| CounterStat {
                 sum: *s,
-                p50: h.percentile(0.50),
-                p95: h.percentile(0.95),
-                p99: h.percentile(0.99),
+                p50: h.percentile(0.50).unwrap_or(0),
+                p95: h.percentile(0.95).unwrap_or(0),
+                p99: h.percentile(0.99).unwrap_or(0),
             })
             .collect();
         self.state.publish(FleetSnapshot {
@@ -558,7 +560,6 @@ fn worker_main(
     drop(span);
     let _ = built.send(Ok(()));
     drop(built);
-    let headline_idx = host::headline_indices();
     let mut values: Vec<f64> = Vec::with_capacity(columns);
     let mut rounds = 0u64;
     while let Ok(cmd) = rx.recv() {
@@ -584,7 +585,7 @@ fn worker_main(
                     let _ = db.delete_range("fleet_host", 0, cutoff + 1);
                 }
                 let mut sums = vec![0u64; columns];
-                let mut hists = vec![Log2Hist::new(); columns];
+                let mut hists = vec![Histogram::default(); columns];
                 let mut headline = Vec::with_capacity(hosts.len());
                 for h in &hosts {
                     for ((s, hist), v) in sums.iter_mut().zip(hists.iter_mut()).zip(h.totals.iter())
@@ -592,7 +593,7 @@ fn worker_main(
                         *s += *v;
                         hist.record(*v);
                     }
-                    headline.push((h.id, h.headline(&headline_idx)));
+                    headline.push((h.id, h.headline()));
                 }
                 let done = ShardReport {
                     round_ns: obs::clock::now_ns().saturating_sub(t0),

@@ -1,7 +1,7 @@
 //! Shared CLI glue for the observability flags.
 //!
-//! Every figure binary and the `pathfinder` CLI accept the same three
-//! flags:
+//! `bench`, the `pathfinder` CLI and `pathfinder-fleetd` accept the same
+//! three flags:
 //!
 //! * `--timings` — print the human-readable phase-timing table after the
 //!   run.
@@ -11,11 +11,14 @@
 //!   `chrome://tracing` / Perfetto.
 //!
 //! Any of the three enables the recorder for the duration of the run;
-//! without them no clock is ever read (zero-cost disabled path). Usage:
+//! without them no clock is ever read (zero-cost disabled path). Each
+//! binary strips the flags before its own parser sees the rest:
 //!
 //! ```no_run
-//! let session = obs::cli::Session::from_env();
-//! // ... run the workload ...
+//! let argv: Vec<String> = std::env::args().skip(1).collect();
+//! let (obs_args, rest) = obs::cli::ObsArgs::strip(&argv).unwrap();
+//! let session = obs::cli::Session::new(obs_args);
+//! // ... parse `rest`, run the workload ...
 //! session.finish().unwrap();
 //! ```
 
@@ -33,39 +36,33 @@ pub struct ObsArgs {
 }
 
 impl ObsArgs {
-    /// Scan an argv slice for the obs flags, ignoring everything else.
-    pub fn parse(args: &[String]) -> ObsArgs {
-        ObsArgs::strip(args).0
-    }
-
-    /// Scan the process argv (skipping the program name).
-    pub fn from_env() -> ObsArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        ObsArgs::parse(&args)
-    }
-
-    /// Split an argv slice into the obs flags and the remaining arguments —
-    /// for binaries with strict parsers that reject unknown flags.
-    pub fn strip(args: &[String]) -> (ObsArgs, Vec<String>) {
+    /// Split an argv slice into the obs flags and the remaining arguments,
+    /// in order — for binaries with strict parsers that reject unknown
+    /// flags. Fails when `--timings-json` or `--trace-json` has no path
+    /// after it, or the next argument is another flag (`--…`).
+    pub fn strip(args: &[String]) -> Result<(ObsArgs, Vec<String>), String> {
         let mut o = ObsArgs::default();
         let mut rest = Vec::new();
-        let mut i = 0;
-        while let Some(arg) = args.get(i) {
-            match arg.as_str() {
-                "--timings" => o.timings = true,
-                "--timings-json" => {
-                    i += 1;
-                    o.timings_json = args.get(i).map(PathBuf::from);
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let slot = match arg.as_str() {
+                "--timings" => {
+                    o.timings = true;
+                    continue;
                 }
-                "--trace-json" => {
-                    i += 1;
-                    o.trace_json = args.get(i).map(PathBuf::from);
+                "--timings-json" => &mut o.timings_json,
+                "--trace-json" => &mut o.trace_json,
+                other => {
+                    rest.push(other.to_string());
+                    continue;
                 }
-                other => rest.push(other.to_string()),
+            };
+            match args.next() {
+                Some(path) if !path.starts_with("--") => *slot = Some(PathBuf::from(path)),
+                _ => return Err(format!("{arg} needs a path")),
             }
-            i += 1;
         }
-        (o, rest)
+        Ok((o, rest))
     }
 
     /// True when any flag asked for observability.
@@ -88,11 +85,6 @@ impl Session {
             crate::enable();
         }
         Session { args }
-    }
-
-    /// Build a session from the process argv.
-    pub fn from_env() -> Session {
-        Session::new(ObsArgs::from_env())
     }
 
     /// Export the requested artefacts and disable the recorder. A no-op
@@ -127,7 +119,7 @@ mod tests {
 
     #[test]
     fn parse_picks_up_all_three_flags() {
-        let o = ObsArgs::parse(&argv(&[
+        let (o, rest) = ObsArgs::strip(&argv(&[
             "--ops",
             "100",
             "--timings",
@@ -135,7 +127,9 @@ mod tests {
             "t.json",
             "--trace-json",
             "trace.json",
-        ]));
+        ]))
+        .unwrap();
+        assert_eq!(rest, argv(&["--ops", "100"]));
         assert!(o.timings);
         assert_eq!(
             o.timings_json.as_deref(),
@@ -150,14 +144,30 @@ mod tests {
 
     #[test]
     fn strip_preserves_foreign_args_in_order() {
-        let (o, rest) = ObsArgs::strip(&argv(&["--policy", "cxl", "--timings", "--ops", "7"]));
+        let (o, rest) =
+            ObsArgs::strip(&argv(&["--policy", "cxl", "--timings", "--ops", "7"])).unwrap();
         assert!(o.timings);
         assert_eq!(rest, argv(&["--policy", "cxl", "--ops", "7"]));
     }
 
     #[test]
     fn no_flags_means_not_requested() {
-        let o = ObsArgs::parse(&argv(&["--emr"]));
+        let (o, rest) = ObsArgs::strip(&argv(&["--emr"])).unwrap();
         assert!(!o.requested());
+        assert_eq!(rest, argv(&["--emr"]));
+    }
+
+    #[test]
+    fn a_json_flag_without_a_path_is_an_error() {
+        for words in [
+            &["--timings-json"][..],
+            &["fig6_stall_breakdown", "--trace-json"],
+            &["--timings-json", "--ops", "5"],
+            &["--trace-json", "--timings"],
+        ] {
+            let err = ObsArgs::strip(&argv(words)).err();
+            let flag = words.iter().find(|w| w.ends_with("-json")).unwrap();
+            assert_eq!(err, Some(format!("{flag} needs a path")), "{words:?}");
+        }
     }
 }

@@ -9,10 +9,12 @@ use std::collections::BTreeMap;
 
 /// Number of power-of-two histogram buckets. Bucket `i` holds values whose
 /// bit length is `i` (`0` → bucket 0, `[2^(i-1), 2^i)` → bucket `i`);
-/// values of 2^63 and above saturate into the last bucket.
+/// values of 2^63 and above saturate into the last bucket, so it holds
+/// `[2^62, 2^64)`.
 pub const HIST_BUCKETS: usize = 64;
 
-/// A fixed-bucket log2 histogram over `u64` samples.
+/// A fixed-bucket log2 histogram over `u64` samples. Histograms merge, so
+/// partial ones (fleetd's per-shard roll-ups) fold into one.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     counts: [u64; HIST_BUCKETS],
@@ -49,6 +51,18 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Fold `other`'s samples into this histogram, as if each had been
+    /// recorded here.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *a += *b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -78,8 +92,13 @@ impl Histogram {
         for (i, &n) in self.counts.iter().enumerate() {
             seen += n;
             if seen >= target {
-                // Upper bound of bucket i: 2^i - 1 (bucket 0 holds only 0).
-                let upper = if i == 0 { 0 } else { (1u64 << i) - 1 };
+                // Upper bound of bucket i: 2^i - 1 (bucket 0 holds only
+                // 0), and u64::MAX for the saturating top bucket.
+                let upper = match i {
+                    0 => 0,
+                    i if i >= HIST_BUCKETS - 1 => u64::MAX,
+                    i => (1u64 << i) - 1,
+                };
                 return Some(upper.clamp(self.min, self.max));
             }
         }
@@ -259,6 +278,63 @@ mod tests {
         assert!((1..=1000).contains(&p50));
         // log2 buckets: p50 of 1..=1000 sits in the bucket holding 500.
         assert!((500..=1023).contains(&p50), "p50 {p50}");
+    }
+
+    #[test]
+    fn empty_hist_is_zero() {
+        let h = Histogram::default();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.percentile(0.99).unwrap_or(0), 0);
+        assert_eq!(h.snapshot(), HistSnapshot::default());
+    }
+
+    #[test]
+    fn percentiles_clamp_to_observed_range() {
+        let mut h = Histogram::default();
+        h.record(1000);
+        assert_eq!(
+            h.percentile(0.5),
+            Some(1000),
+            "single sample is every quantile"
+        );
+        h.record(1000);
+        h.record(1000);
+        h.record(4000);
+        let p50 = h.percentile(0.5).unwrap();
+        assert!((1000..=1023).contains(&p50), "p50 {p50} in bucket of 1000");
+        assert!(h.percentile(0.99).unwrap() <= 4000);
+    }
+
+    #[test]
+    fn merge_matches_sequential_recording() {
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
+        let mut all = Histogram::default();
+        for v in [0u64, 1, 7, 63, 900, 1 << 40] {
+            a.record(v);
+            all.record(v);
+        }
+        for v in [2u64, 5000, u64::MAX] {
+            b.record(v);
+            all.record(v);
+        }
+        a.merge(&b);
+        assert_eq!(a.count(), all.count());
+        for q in [0.5, 0.95, 0.99] {
+            assert_eq!(a.percentile(q), all.percentile(q));
+        }
+        assert_eq!(a.snapshot(), all.snapshot());
+        assert_eq!(a.snapshot().max, u64::MAX);
+    }
+
+    #[test]
+    fn top_bucket_quantile_is_not_below_its_samples() {
+        // Bucket 63 holds [2^62, 2^64): its edge is u64::MAX, so a quantile
+        // that lands there reads the largest sample, never 2^63 - 1.
+        let mut h = Histogram::default();
+        h.record(5);
+        h.record((1 << 63) + 10);
+        assert_eq!(h.percentile(0.99), Some((1 << 63) + 10));
     }
 
     #[test]

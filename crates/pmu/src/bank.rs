@@ -46,11 +46,6 @@ impl<E: Event> Bank<E> {
         self.counters[event.index()]
     }
 
-    /// Reset every counter to zero (the PMU "global reset" signal).
-    pub fn reset(&mut self) {
-        self.counters.iter_mut().for_each(|c| *c = 0);
-    }
-
     /// Raw view over all counters, index order. Used by snapshots.
     pub fn raw(&self) -> &[u64] {
         &self.counters
@@ -79,19 +74,6 @@ impl<E: Event> Bank<E> {
             counters,
             _marker: core::marker::PhantomData,
         }
-    }
-
-    /// Element-wise sum, used to aggregate per-module banks (e.g. all CHA
-    /// slices of a socket) into one logical bank.
-    pub fn merge(&mut self, other: &Bank<E>) {
-        for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a += *b;
-        }
-    }
-
-    /// Sum of all counters — handy as a cheap activity signal in tests.
-    pub fn total(&self) -> u64 {
-        self.counters.iter().sum()
     }
 }
 
@@ -122,25 +104,5 @@ mod tests {
         // Reversed order saturates rather than wrapping.
         let d2 = early.delta(&late);
         assert_eq!(d2.read(ImcEvent::CasCountRd), 0);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let mut b: Bank<ImcEvent> = Bank::new();
-        b.add(ImcEvent::RpqInserts, 42);
-        b.reset();
-        assert_eq!(b.total(), 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a: Bank<ImcEvent> = Bank::new();
-        let mut b: Bank<ImcEvent> = Bank::new();
-        a.add(ImcEvent::RpqInserts, 1);
-        b.add(ImcEvent::RpqInserts, 2);
-        b.add(ImcEvent::WpqInserts, 7);
-        a.merge(&b);
-        assert_eq!(a.read(ImcEvent::RpqInserts), 3);
-        assert_eq!(a.read(ImcEvent::WpqInserts), 7);
     }
 }

@@ -16,10 +16,13 @@
 //!
 //! ## Layout
 //!
-//! * [`event`] — dense, typed event enumerations for every PMU.
+//! * [`event`] — one table per PMU event space, each row a variant with its
+//!   perf name in index order, from which the dense, typed event enums,
+//!   their indices, names and `all()` lists are generated.
 //! * [`bank`] — a fixed-size counter file ([`bank::Bank`]) per module.
-//! * [`system`] — the whole-machine counter file ([`system::SystemPmu`]) and
-//!   snapshot/delta machinery used by the profiler at epoch boundaries.
+//! * [`system`] — the whole-machine counter file ([`system::SystemPmu`]),
+//!   the snapshot/delta machinery used by the profiler at epoch boundaries,
+//!   and the registry-order totals fleetd reads.
 //! * [`registry`] — a human-readable registry of every event with its
 //!   description, used by the CLI to enumerate capabilities.
 

@@ -2,8 +2,8 @@
 //!
 //! This is the programmatic form of the paper's Tables 1–4: each entry has
 //! the perf-style event name, the PMU it lives in, its scope, and a short
-//! description. The `pathfinder` CLI uses it for `--list-counters`, and the
-//! test below pins the paper's "232 counters" claim.
+//! description. `pathfinder list-counters` prints it, and the tests below
+//! pin the paper's "232 counters" claim.
 
 use crate::event::{
     ChaEvent, CoreEvent, CxlEvent, Event, ImcEvent, M2pEvent, PoolEvent, SwitchEvent,
@@ -336,79 +336,41 @@ pub struct EventDesc {
     pub description: &'static str,
 }
 
-/// Enumerate every counter of every PMU, sub-events expanded.
+/// Enumerate every counter of every PMU, sub-events expanded: the PMUs in
+/// [`PmuKind::ALL`] order, each one's events in index order. This is the
+/// column order of [`crate::SystemPmu::totals_into`].
 pub fn all_events() -> Vec<EventDesc> {
+    fn push<E: Event>(v: &mut Vec<EventDesc>, pmu: PmuKind, scope: Scope, events: Vec<E>) {
+        v.extend(events.into_iter().map(|e| {
+            let name = e.name();
+            EventDesc {
+                pmu,
+                scope,
+                unit: unit_of(&name),
+                description: describe(&name),
+                index: e.index(),
+                name,
+            }
+        }));
+    }
     let mut v = Vec::new();
-    for e in CoreEvent::all() {
-        v.push(EventDesc {
-            pmu: PmuKind::Core,
-            scope: Scope::PerCore,
-            unit: unit_of(&e.name()),
-            description: describe(&e.name()),
-            name: e.name(),
-            index: e.index(),
-        });
-    }
-    for e in ChaEvent::all() {
-        v.push(EventDesc {
-            pmu: PmuKind::Cha,
-            scope: Scope::PerSocket,
-            unit: unit_of(&e.name()),
-            description: describe(&e.name()),
-            name: e.name(),
-            index: e.index(),
-        });
-    }
-    for e in ImcEvent::all() {
-        v.push(EventDesc {
-            pmu: PmuKind::Imc,
-            scope: Scope::PerChannel,
-            unit: unit_of(&e.name()),
-            description: describe(&e.name()),
-            name: e.name(),
-            index: e.index(),
-        });
-    }
-    for e in M2pEvent::all() {
-        v.push(EventDesc {
-            pmu: PmuKind::M2Pcie,
-            scope: Scope::PerSocket,
-            unit: unit_of(&e.name()),
-            description: describe(&e.name()),
-            name: e.name(),
-            index: e.index(),
-        });
-    }
-    for e in CxlEvent::all() {
-        v.push(EventDesc {
-            pmu: PmuKind::CxlDevice,
-            scope: Scope::PerDevice,
-            unit: unit_of(&e.name()),
-            description: describe(&e.name()),
-            name: e.name(),
-            index: e.index(),
-        });
-    }
-    for e in SwitchEvent::all() {
-        v.push(EventDesc {
-            pmu: PmuKind::CxlSwitch,
-            scope: Scope::PerPort,
-            unit: unit_of(&e.name()),
-            description: describe(&e.name()),
-            name: e.name(),
-            index: e.index(),
-        });
-    }
-    for e in PoolEvent::all() {
-        v.push(EventDesc {
-            pmu: PmuKind::CxlPool,
-            scope: Scope::PerHost,
-            unit: unit_of(&e.name()),
-            description: describe(&e.name()),
-            name: e.name(),
-            index: e.index(),
-        });
-    }
+    push(&mut v, PmuKind::Core, Scope::PerCore, CoreEvent::all());
+    push(&mut v, PmuKind::Cha, Scope::PerSocket, ChaEvent::all());
+    push(&mut v, PmuKind::Imc, Scope::PerChannel, ImcEvent::all());
+    push(&mut v, PmuKind::M2Pcie, Scope::PerSocket, M2pEvent::all());
+    push(
+        &mut v,
+        PmuKind::CxlDevice,
+        Scope::PerDevice,
+        CxlEvent::all(),
+    );
+    push(
+        &mut v,
+        PmuKind::CxlSwitch,
+        Scope::PerPort,
+        SwitchEvent::all(),
+    );
+    push(&mut v, PmuKind::CxlPool, Scope::PerHost, PoolEvent::all());
     v
 }
 

@@ -13,11 +13,12 @@ use crate::event::{
 
 /// The live PMU state for a whole machine.
 ///
-/// Topology: `cores[c]` per logical core; `chas[s]` one aggregated CHA bank
-/// per socket (real machines expose one per slice; the simulator also keeps
-/// per-slice banks and merges them — see `simarch::cha`); `imcs[ch]` per
-/// local DRAM pseudo-channel; `m2ps[e]` per CXL endpoint (FlexBus RC);
-/// `cxls[d]` per CXL device.
+/// Topology: `cores[c]` per logical core; `chas[s]` one CHA bank per
+/// socket, summed over its LLC slices (real machines expose one per slice;
+/// the simulator models one local socket, and its `simarch::cha` complex
+/// counts every slice straight into `chas[0]`); `imcs[ch]` per local DRAM
+/// pseudo-channel; `m2ps[e]` per CXL endpoint (FlexBus RC); `cxls[d]` per
+/// CXL device.
 #[derive(Clone, Debug)]
 pub struct SystemPmu {
     pub cores: Vec<Bank<CoreEvent>>,
@@ -83,7 +84,7 @@ impl SystemPmu {
     /// pooling fast path; see PERFORMANCE.md). Falls back to a plain clone
     /// per bank list on a topology mismatch.
     pub fn copy_from(&mut self, other: &SystemPmu) {
-        fn copy_banks<E: crate::event::Event>(dst: &mut Vec<Bank<E>>, src: &[Bank<E>]) {
+        fn copy_banks<E: Event>(dst: &mut Vec<Bank<E>>, src: &[Bank<E>]) {
             if dst.len() == src.len() {
                 for (d, s) in dst.iter_mut().zip(src.iter()) {
                     d.copy_from(s);
@@ -101,28 +102,42 @@ impl SystemPmu {
         copy_banks(&mut self.pools, &other.pools);
     }
 
-    /// Reset every counter in every bank.
-    pub fn reset(&mut self) {
-        self.cores.iter_mut().for_each(Bank::reset);
-        self.chas.iter_mut().for_each(Bank::reset);
-        self.imcs.iter_mut().for_each(Bank::reset);
-        self.m2ps.iter_mut().for_each(Bank::reset);
-        self.cxls.iter_mut().for_each(Bank::reset);
-        self.switches.iter_mut().for_each(Bank::reset);
-        self.pools.iter_mut().for_each(Bank::reset);
+    /// Write every counter, summed over its banks, into `out` (cleared
+    /// first) in registry order: one column per entry of
+    /// [`crate::registry::all_events`], each PMU's events in index order.
+    /// Counters are free-running, so these are the totals since the
+    /// machine was built; they reuse `out`'s allocation.
+    pub fn totals_into(&self, out: &mut Vec<u64>) {
+        fn sum<E: Event>(out: &mut Vec<u64>, banks: &[Bank<E>]) {
+            let start = out.len();
+            out.resize(start + E::CARD, 0);
+            for bank in banks {
+                for (total, v) in out[start..].iter_mut().zip(bank.raw()) {
+                    *total += *v;
+                }
+            }
+        }
+        out.clear();
+        sum(out, &self.cores);
+        sum(out, &self.chas);
+        sum(out, &self.imcs);
+        sum(out, &self.m2ps);
+        sum(out, &self.cxls);
+        sum(out, &self.switches);
+        sum(out, &self.pools);
     }
 
     /// Approximate resident size of the counter state in bytes. Used by the
     /// overhead accounting of §5.9.
     pub fn footprint_bytes(&self) -> usize {
         let per = |n_banks: usize, card: usize| n_banks * card * core::mem::size_of::<u64>();
-        per(self.cores.len(), crate::event::CoreEvent::CARD)
-            + per(self.chas.len(), crate::event::ChaEvent::CARD)
-            + per(self.imcs.len(), crate::event::ImcEvent::CARD)
-            + per(self.m2ps.len(), crate::event::M2pEvent::CARD)
-            + per(self.cxls.len(), crate::event::CxlEvent::CARD)
-            + per(self.switches.len(), crate::event::SwitchEvent::CARD)
-            + per(self.pools.len(), crate::event::PoolEvent::CARD)
+        per(self.cores.len(), CoreEvent::CARD)
+            + per(self.chas.len(), ChaEvent::CARD)
+            + per(self.imcs.len(), ImcEvent::CARD)
+            + per(self.m2ps.len(), M2pEvent::CARD)
+            + per(self.cxls.len(), CxlEvent::CARD)
+            + per(self.switches.len(), SwitchEvent::CARD)
+            + per(self.pools.len(), PoolEvent::CARD)
     }
 }
 
@@ -154,42 +169,8 @@ impl SystemSnapshot {
     /// Panics if the two snapshots come from machines with different
     /// topologies (different bank counts).
     pub fn delta(&self, earlier: &SystemSnapshot) -> SystemDelta {
-        assert_eq!(
-            self.pmu.cores.len(),
-            earlier.pmu.cores.len(),
-            "topology mismatch"
-        );
-        assert_eq!(
-            self.pmu.chas.len(),
-            earlier.pmu.chas.len(),
-            "topology mismatch"
-        );
-        assert_eq!(
-            self.pmu.imcs.len(),
-            earlier.pmu.imcs.len(),
-            "topology mismatch"
-        );
-        assert_eq!(
-            self.pmu.m2ps.len(),
-            earlier.pmu.m2ps.len(),
-            "topology mismatch"
-        );
-        assert_eq!(
-            self.pmu.cxls.len(),
-            earlier.pmu.cxls.len(),
-            "topology mismatch"
-        );
-        assert_eq!(
-            self.pmu.switches.len(),
-            earlier.pmu.switches.len(),
-            "topology mismatch"
-        );
-        assert_eq!(
-            self.pmu.pools.len(),
-            earlier.pmu.pools.len(),
-            "topology mismatch"
-        );
-        fn zip<E: crate::event::Event>(a: &[Bank<E>], b: &[Bank<E>]) -> Vec<Bank<E>> {
+        fn zip<E: Event>(a: &[Bank<E>], b: &[Bank<E>]) -> Vec<Bank<E>> {
+            assert_eq!(a.len(), b.len(), "topology mismatch");
             a.iter()
                 .zip(b.iter())
                 .map(|(now, then)| now.delta(then))
@@ -255,10 +236,56 @@ impl SystemDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CoreEvent, CxlEvent};
+    use crate::registry::{all_events, PmuKind};
 
     fn tiny() -> SystemPmu {
         SystemPmu::new(2, 1, 2, 1, 1)
+    }
+
+    /// Give every counter of every bank its own value: `salt` tells the
+    /// PMU kinds apart, the bank number and the event index the rest.
+    fn fill<E: Event>(banks: &mut [Bank<E>], events: Vec<E>, salt: u64) {
+        for (b, bank) in banks.iter_mut().enumerate() {
+            for &e in &events {
+                bank.add(e, salt + ((b as u64) << 16) + e.index() as u64 + 1);
+            }
+        }
+    }
+
+    fn column<E: Event>(banks: &[Bank<E>], index: usize) -> u64 {
+        banks.iter().map(|b| b.raw()[index]).sum()
+    }
+
+    #[test]
+    fn totals_sum_each_counter_over_its_banks_in_registry_order() {
+        let mut pmu = SystemPmu::new(2, 2, 2, 2, 2);
+        let fabric = SystemPmu::fabric(2);
+        pmu.switches = fabric.switches;
+        pmu.pools = fabric.pools;
+        fill(&mut pmu.cores, CoreEvent::all(), 1 << 32);
+        fill(&mut pmu.chas, ChaEvent::all(), 2 << 32);
+        fill(&mut pmu.imcs, ImcEvent::all(), 3 << 32);
+        fill(&mut pmu.m2ps, M2pEvent::all(), 4 << 32);
+        fill(&mut pmu.cxls, CxlEvent::all(), 5 << 32);
+        fill(&mut pmu.switches, SwitchEvent::all(), 6 << 32);
+        fill(&mut pmu.pools, PoolEvent::all(), 7 << 32);
+        // Stale contents are replaced, not added to.
+        let mut totals = vec![9; 3];
+        pmu.totals_into(&mut totals);
+        let events = all_events();
+        assert_eq!(totals.len(), events.len());
+        for (total, e) in totals.iter().zip(&events) {
+            let want = match e.pmu {
+                PmuKind::Core => column(&pmu.cores, e.index),
+                PmuKind::Cha => column(&pmu.chas, e.index),
+                PmuKind::Imc => column(&pmu.imcs, e.index),
+                PmuKind::M2Pcie => column(&pmu.m2ps, e.index),
+                PmuKind::CxlDevice => column(&pmu.cxls, e.index),
+                PmuKind::CxlSwitch => column(&pmu.switches, e.index),
+                PmuKind::CxlPool => column(&pmu.pools, e.index),
+            };
+            assert_eq!(*total, want, "column of {}", e.name);
+        }
     }
 
     #[test]

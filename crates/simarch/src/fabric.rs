@@ -106,7 +106,9 @@ pub struct Fabric {
     /// Per-host private replay of (link, MC) with calibrated (healthy,
     /// un-shared) parameters — the "alone" baseline for excess pricing.
     alone: Vec<AloneReplica>,
-    prev: Vec<SystemSnapshot>,
+    /// Each host's cumulative CXL.mem demand, (reads, writes), at the last
+    /// epoch boundary.
+    cxl_seen: Vec<(u64, u64)>,
     /// Fabric-level counters: `switches[h]` + `pools[h]` banks.
     pub pmu: SystemPmu,
     faults: FaultPlan,
@@ -127,7 +129,7 @@ impl Fabric {
                 m
             })
             .collect();
-        let prev = hosts.iter().map(|m| m.pmu.snapshot(0)).collect();
+        let cxl_seen = hosts.iter().map(|m| cxl_mem(&m.pmu)).collect();
         // Each host counts and audits its own queues.
         let mark = QueueCensus::mark();
         let fabric = Fabric {
@@ -144,7 +146,7 @@ impl Fabric {
                     mc: FifoServer::new(),
                 })
                 .collect(),
-            prev,
+            cxl_seen,
             pmu: SystemPmu::fabric(fcfg.hosts),
             faults: FaultPlan::new(),
             epochs_run: 0,
@@ -240,10 +242,12 @@ impl Fabric {
         let mut reqs = vec![0u64; n_hosts];
         for h in 0..n_hosts {
             let res = self.hosts[h].run_epoch();
-            let prev = &mut self.prev[h];
-            let reads = cxl_delta_sum(&res.snapshot, prev, CxlEvent::RxcPackBufInsertsMemReq);
-            let writes = cxl_delta_sum(&res.snapshot, prev, CxlEvent::RxcPackBufInsertsMemData);
-            prev.copy_from(&res.snapshot.pmu, res.snapshot.cycle);
+            // Counters only grow: this epoch's demand is the growth since
+            // the last boundary.
+            let now = cxl_mem(&res.snapshot.pmu);
+            let (seen_reads, seen_writes) = std::mem::replace(&mut self.cxl_seen[h], now);
+            let reads = now.0 - seen_reads;
+            let writes = now.1 - seen_writes;
             let n = reads + writes;
             reqs[h] = n;
             let epoch_start = self.hosts[h].now() - ec;
@@ -321,16 +325,14 @@ impl Fabric {
     }
 }
 
-/// `ev`'s increase from `earlier` to `now`, summed over the CXL devices:
-/// what `now.delta(earlier).cxl_sum(ev)` reads, per-bank saturating
-/// differences included, without building the whole delta.
-fn cxl_delta_sum(now: &SystemSnapshot, earlier: &SystemSnapshot, ev: CxlEvent) -> u64 {
-    now.pmu
-        .cxls
-        .iter()
-        .zip(&earlier.pmu.cxls)
-        .map(|(n, e)| n.read(ev).saturating_sub(e.read(ev)))
-        .sum()
+/// A host's cumulative CXL.mem demand, (reads, writes): the M2S Req and
+/// RwD packing-buffer inserts, summed over its CXL devices.
+fn cxl_mem(pmu: &SystemPmu) -> (u64, u64) {
+    let sum = |ev| pmu.cxls.iter().map(|b| b.read(ev)).sum();
+    (
+        sum(CxlEvent::RxcPackBufInsertsMemReq),
+        sum(CxlEvent::RxcPackBufInsertsMemData),
+    )
 }
 
 /// The fabric's own queues and its flow balance (per-host machines audit
