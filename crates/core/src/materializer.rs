@@ -64,7 +64,8 @@ struct Scratch {
     tick: u64,
     merge: Merge,
     /// Values without timestamps: one series, or the paired samples of a
-    /// correlation.
+    /// correlation. A single-series read lends `ys` out, as the
+    /// Holt-Winters seasonal terms of `predictability`.
     xs: Vec<f64>,
     ys: Vec<f64>,
 }
@@ -268,16 +269,21 @@ impl Materializer {
     /// PathFinder's "query scope" step: the four per-path series summed
     /// per timestamp, in time order.
     pub fn hit_series(&self, core: usize, level: HitLevel) -> Vec<(u64, f64)> {
-        self.with_series(Scope::Hits(core, level), |series, _| series.to_vec())
+        self.with_series(Scope::Hits(core, level), |series, _, _| series.to_vec())
     }
 
-    /// Run `f` on a scope's series and its values alone.
-    fn with_series<T>(&self, scope: Scope, f: impl FnOnce(&[(u64, f64)], &[f64]) -> T) -> T {
+    /// Run `f` on a scope's series, its values alone and a spare buffer
+    /// of the scratch.
+    fn with_series<T>(
+        &self,
+        scope: Scope,
+        f: impl FnOnce(&[(u64, f64)], &[f64], &mut Vec<f64>) -> T,
+    ) -> T {
         let s = &mut *self.scratch.borrow_mut();
         let i = s.read(&self.db, scope);
         let series = &s.memo[i].rows;
         values_of(series, &mut s.xs);
-        f(series, &s.xs)
+        f(series, &s.xs, &mut s.ys)
     }
 
     /// Pearson's r of two scopes' series on the snapshots they share.
@@ -292,14 +298,14 @@ impl Materializer {
     /// Phase windows of consistent locality for a (core, level) scope —
     /// Case 6's "windows with stable memory access patterns".
     pub fn locality_windows(&self, core: usize, level: HitLevel) -> Vec<tsa::Window> {
-        self.with_series(Scope::Hits(core, level), |_, data| {
+        self.with_series(Scope::Hits(core, level), |_, data, _| {
             tsa::cluster_windows(data, 0.25, 1.0)
         })
     }
 
     /// Summary statistics of a scope (min/max/mean/moving-average tail).
     pub fn scope_stats(&self, core: usize, level: HitLevel) -> Option<(f64, f64, f64)> {
-        self.with_series(Scope::Hits(core, level), |series, _| {
+        self.with_series(Scope::Hits(core, level), |series, _, _| {
             Some((ops::min(series)?, ops::max(series)?, ops::mean(series)?))
         })
     }
@@ -322,9 +328,9 @@ impl Materializer {
     /// Holt-Winters relative fit error — small values indicate regular,
     /// forecastable access patterns (§4.6 step 4).
     pub fn predictability(&self, core: usize, level: HitLevel, season: usize) -> Option<f64> {
-        self.with_series(Scope::Hits(core, level), |series, data| {
+        self.with_series(Scope::Hits(core, level), |series, data, seasonal| {
             let hw = tsa::HoltWinters::new(season);
-            let err = hw.fit_error(data)?;
+            let err = hw.fit_error(data, seasonal)?;
             let sd = ops::stddev(series)?;
             if sd == 0.0 {
                 return Some(0.0);
@@ -335,13 +341,13 @@ impl Materializer {
 
     /// The per-epoch ops series of one core (`app` measurement).
     pub fn ops_series(&self, core: usize) -> Vec<(u64, f64)> {
-        self.with_series(Scope::Ops(core), |series, _| series.to_vec())
+        self.with_series(Scope::Ops(core), |series, _, _| series.to_vec())
     }
 
     /// Compute-burst windows (§4.6: "computing burst"): phases of consistent
     /// execution throughput, found by clustering the per-epoch ops series.
     pub fn burst_windows(&self, core: usize) -> Vec<tsa::Window> {
-        self.with_series(Scope::Ops(core), |_, data| {
+        self.with_series(Scope::Ops(core), |_, data, _| {
             tsa::cluster_windows(data, 0.25, 1.0)
         })
     }

@@ -7,7 +7,9 @@
 //! over a pointer chase, a faulted two-host `Fabric` epoch and the
 //! materializer's analysis pass under retention each make an exact,
 //! repeatable number of calls, pinned below; a reserved `tsdb::Db::ingest`
-//! batch and building a pointer chase make none. An allocation added
+//! batch and building a pointer chase make none. The scrape path is
+//! pinned too: `obs::prom::validate` on fleet bodies, and one fleetd
+//! `render_metrics` call at two fleet sizes. An allocation added
 //! anywhere under these loops, callees included, moves a pin. A change
 //! that moves one on purpose updates it and gives the reason.
 //!
@@ -17,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use pathfinder::model::HitLevel;
 use pathfinder::profiler::{ProfileSpec, Profiler};
@@ -213,10 +216,10 @@ fn analysis_pass(m: &Materializer) {
 /// epochs and an analysis pass reads the store. Once the window is full,
 /// the pass's reads allocate nothing: queries keep no strings, matching
 /// series are visited in place and the memoized series reuse their
-/// buffers. What a pass still allocates is the four returned window
+/// buffers, and Holt-Winters smooths its seasonal terms in a buffer the
+/// memo lends. What a pass still allocates is the four returned window
 /// vectors as they grow (22 calls: 8 and 3 for the locality windows of
-/// about 450 and 13 phases, the same for the burst windows) and one
-/// Holt-Winters seasonal vector per `predictability` (2).
+/// about 450 and 13 phases, the same for the burst windows).
 #[test]
 fn analysis_pass_makes_pinned_allocator_calls() {
     const EVERY: u64 = 256;
@@ -239,7 +242,7 @@ fn analysis_pass_makes_pinned_allocator_calls() {
             steady += allocs;
         }
     }
-    assert_eq!(steady, 96);
+    assert_eq!(steady, 88);
 }
 
 /// A faulted two-host fabric: 39 calls per epoch, for the hosts' epoch
@@ -299,4 +302,77 @@ fn steady_state_ingest_performs_zero_allocations() {
     });
     assert_eq!(ingest, 0, "steady-state ingest must be allocation-free");
     assert_eq!(db.len(), EPOCHS * handles.len());
+}
+
+/// A fleet snapshot of `hosts` hosts with ids 0, 1, …, their counters
+/// growing with the host id, as the benchmark's fleet scrapes them.
+fn fleet_snapshot(hosts: u32) -> fleetd::shard::FleetSnapshot {
+    let names = fleetd::host::counter_names();
+    let counters = (0..names.len() as u64)
+        .map(|i| fleetd::aggregate::CounterStat {
+            sum: 1_000 * i * u64::from(hosts),
+            p50: 1_000 * i,
+            p95: 1_900 * i,
+            p99: 1_990 * i,
+        })
+        .collect();
+    fleetd::shard::FleetSnapshot {
+        round: 18,
+        hosts: u64::from(hosts),
+        epochs: 18 * u64::from(hosts),
+        points: 18 * u64::from(hosts),
+        resident_bytes: 1 << 21,
+        text: Arc::new(fleetd::server::FleetText::new(&names)),
+        counters,
+        headline: (0..hosts)
+            .map(|id| (id, [40_000 + u64::from(id), 100_000 + u64::from(id)]))
+            .collect(),
+    }
+}
+
+/// Allocator calls of one `validate` of `body`, and its sample count.
+fn validate_allocs(body: &str) -> (u64, usize) {
+    let before = ALLOCS.get();
+    let stats = obs::prom::validate(body, &["pathfinder_fleet_inst_retired_any"]);
+    let allocs = ALLOCS.get() - before;
+    (allocs, stats.expect("a fleet body validates").samples)
+}
+
+/// The validator allocates per table growth, never per sample: on
+/// fleetd's committed 7-host golden and on a 128-host body (1 374 and
+/// 1 622 samples) it makes 16 calls each, for its family table (276
+/// families: its first 64 slots and four doublings), its identity table
+/// (its first 64 slots and six doublings) and the first growth of its
+/// label and key buffers. Building a `String` identity per sample made
+/// over one call per sample.
+#[test]
+fn prom_validate_makes_pinned_allocator_calls() {
+    let golden = include_str!("../../fleetd/tests/golden/render_metrics.prom");
+    let body = fleetd::server::render_metrics(&fleet_snapshot(128));
+    let (golden_allocs, golden_samples) = validate_allocs(golden);
+    let (allocs, samples) = validate_allocs(&body);
+    assert_eq!((golden_samples, samples), (1_374, 1_622));
+    assert_eq!((golden_allocs, allocs), (16, 16));
+    assert!(10 * allocs < samples as u64);
+}
+
+/// One `render_metrics` makes 6 calls at 128 and at 1 024 hosts: one
+/// for the body, reserved once at its bound, and the rest for the obs
+/// registry part. The fleet part is written from text the fleet built
+/// at launch.
+#[test]
+fn render_metrics_makes_pinned_allocator_calls() {
+    let render = |snap: &fleetd::shard::FleetSnapshot| {
+        let before = ALLOCS.get();
+        let body = fleetd::server::render_metrics(snap);
+        (ALLOCS.get() - before, body.len())
+    };
+    let (small, large) = (fleet_snapshot(128), fleet_snapshot(1_024));
+    let ((small_allocs, small_bytes), (large_allocs, large_bytes)) =
+        (render(&small), render(&large));
+    assert!(
+        large_bytes > small_bytes + 896 * 80,
+        "{small_bytes} → {large_bytes} bytes"
+    );
+    assert_eq!((small_allocs, large_allocs), (6, 6));
 }

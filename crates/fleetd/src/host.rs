@@ -58,7 +58,7 @@ pub struct HostSim {
 impl HostSim {
     /// Build host `id` from the fleet seed. Fails only if the workload
     /// registry is missing one of [`FLEET_APPS`].
-    pub fn new(id: u32, fleet_seed: u64, columns: usize) -> Result<HostSim, String> {
+    pub fn new(id: u32, fleet_seed: u64) -> Result<HostSim, String> {
         let [a0, a1, a2, a3] = FLEET_APPS;
         let app = match id & 3 {
             0 => a0,
@@ -76,10 +76,14 @@ impl HostSim {
             .ok_or_else(|| format!("workload registry has no app `{app}`"))?;
         let mut machine = Machine::new(host_config());
         machine.attach(0, Workload::new(app, trace, policy));
+        // All zero, one column per registry counter, as every round
+        // leaves them.
+        let mut totals = Vec::new();
+        machine.pmu.totals_into(&mut totals);
         Ok(HostSim {
             id,
             machine,
-            totals: vec![0; columns],
+            totals,
             epochs_done: 0,
             stream: String::new(),
         })

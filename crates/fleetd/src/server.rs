@@ -26,12 +26,12 @@
 //! `fleetd.scrapes` — so the daemon's own exposition describes its
 //! scrape path too.
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use obs::metrics::HistSnapshot;
+use obs::json::{write_f64, write_u64};
 use obs::prom::PromText;
 
 use crate::shard::{FleetSnapshot, SharedState};
@@ -47,55 +47,202 @@ const MAX_HEADERS: usize = 64;
 /// whole response, counted from accept.
 const REQUEST_DEADLINE_NS: u64 = 2_000_000_000;
 
-/// The Prometheus family of each counter column's fleet summary
-/// (`pathfinder_fleet_<counter>`). A fleet computes these once at launch,
-/// so a scrape never formats or mangles a family name.
-pub fn fleet_families(names: &[String]) -> Vec<String> {
-    names
-        .iter()
-        .map(|name| obs::prom::mangle(&format!("fleet.{name}")))
-        .collect()
+/// The per-host headline counters, in the order of
+/// [`FleetSnapshot::headline`]'s values.
+const HOST_COUNTERS: [&str; 2] = ["host.inst_retired.any", "host.cpu_clk_unhalted.thread"];
+
+/// Bytes set aside for the obs registry part of a body: a fleet daemon's
+/// runs to about 1.3 KB.
+const REGISTRY_BYTES: usize = 4096;
+
+/// Bytes a sample value takes at most: 20 digits for a `u64`, 24
+/// characters for a `_sum`.
+const VALUE_BYTES: usize = 24;
+
+/// The fleet part of `/metrics` that every scrape repeats, built once per
+/// fleet: each counter column's summary family, its `# TYPE` line and
+/// the start of its five sample lines, and the same for the two per-host
+/// families. A scrape then writes only the values.
+pub struct FleetText {
+    columns: Vec<ColumnText>,
+    /// `(family, column)` of each column that types its family, sorted
+    /// by family, to check the registry part of a scrape against.
+    typing: Vec<(String, usize)>,
+    hosts: [HostText; 2],
+    /// Bytes of a body past its registry part, less the hosts' lines, at
+    /// most.
+    fixed_bytes: usize,
+    /// Bytes of one host's lines, at most.
+    host_bytes: usize,
 }
 
-/// Render the full exposition for one scrape.
+/// One counter column's summary family (`pathfinder_fleet_<counter>`).
+struct ColumnText {
+    /// `# TYPE <family> summary`, or nothing when an earlier column has
+    /// the same family.
+    type_line: String,
+    /// Each sample line up to its value: the p50, p95 and p99 quantiles,
+    /// `_sum` and `_count`.
+    prefixes: [String; 5],
+}
+
+/// One per-host counter family (`pathfinder_host_<counter>`).
+struct HostText {
+    family: String,
+    /// `# TYPE <family> counter`, or nothing when a column has the family.
+    type_line: String,
+    /// `<family>{host="`: a sample line up to its host id.
+    prefix: String,
+}
+
+impl FleetText {
+    /// The text for counter columns named `names`, in column order.
+    pub fn new(names: &[String]) -> FleetText {
+        let families: Vec<String> = names
+            .iter()
+            .map(|name| obs::prom::mangle(&["fleet.", name].concat()))
+            .collect();
+        // The column that types each family: the first to have it.
+        let mut typing = BTreeMap::new();
+        let mut columns = Vec::with_capacity(families.len());
+        for (i, family) in families.iter().enumerate() {
+            let first = !typing.contains_key(family.as_str());
+            if first {
+                typing.insert(family.as_str(), i);
+            }
+            columns.push(ColumnText {
+                type_line: if first {
+                    ["# TYPE ", family, " summary\n"].concat()
+                } else {
+                    String::new()
+                },
+                prefixes: [
+                    "{quantile=\"0.5\"} ",
+                    "{quantile=\"0.95\"} ",
+                    "{quantile=\"0.99\"} ",
+                    "_sum ",
+                    "_count ",
+                ]
+                .map(|suffix| [family, suffix].concat()),
+            });
+        }
+        let typing = typing
+            .into_iter()
+            .map(|(family, column)| (family.to_string(), column))
+            .collect();
+        let hosts = HOST_COUNTERS.map(|name| {
+            let family = obs::prom::mangle(name);
+            HostText {
+                type_line: if families.contains(&family) {
+                    String::new()
+                } else {
+                    format!("# TYPE {family} counter\n")
+                },
+                prefix: format!("{family}{{host=\""),
+                family,
+            }
+        });
+        // A line is its prefix, a value and a newline; a host line has
+        // the host id and `"} ` between its prefix and its value.
+        let line = |prefix: &String| prefix.len() + VALUE_BYTES + 1;
+        let fixed_bytes = columns
+            .iter()
+            .map(|c| c.type_line.len() + c.prefixes.iter().map(line).sum::<usize>())
+            .chain(hosts.iter().map(|h| h.type_line.len()))
+            .sum();
+        let host_bytes = hosts
+            .iter()
+            .map(|h| line(&h.prefix) + VALUE_BYTES + 3)
+            .sum();
+        FleetText {
+            columns,
+            typing,
+            hosts,
+            fixed_bytes,
+            host_bytes,
+        }
+    }
+}
+
+impl FleetText {
+    /// Bytes of a fleet part with `hosts` hosts' lines, at most.
+    fn bytes(&self, hosts: usize) -> usize {
+        self.fixed_bytes + self.host_bytes.saturating_mul(hosts)
+    }
+}
+
+impl Default for FleetText {
+    fn default() -> FleetText {
+        FleetText::new(&[])
+    }
+}
+
+/// Render the full exposition for one scrape: the obs registry, then
+/// [`render_fleet`].
 pub fn render_metrics(snap: &FleetSnapshot) -> String {
-    let mut w = PromText::new();
+    let mut w = PromText::with_capacity(REGISTRY_BYTES + snap.text.bytes(snap.headline.len()));
     w.render_registry();
+    render_fleet(w, snap)
+}
+
+/// Write `snap`'s fleet part after what `w` holds: a summary per counter
+/// column, then each host's headline counters. A family is typed once,
+/// before its first sample, so a family `w` typed gets no second
+/// `# TYPE` line.
+pub fn render_fleet(w: PromText, snap: &FleetSnapshot) -> String {
+    let text = &snap.text;
+    let mut typed_columns = Vec::new();
+    let mut typed_hosts = [false; 2];
+    for family in w.typed() {
+        if let Ok(k) = text
+            .typing
+            .binary_search_by(|(f, _)| f.as_str().cmp(family))
+        {
+            typed_columns.extend(text.typing.get(k).map(|(_, column)| *column));
+        }
+        for (host, typed) in text.hosts.iter().zip(&mut typed_hosts) {
+            *typed |= host.family == family;
+        }
+    }
+    let mut out = w.into_string();
+    out.reserve(text.bytes(snap.headline.len()));
     let hosts = snap.hosts;
-    for (family, stat) in snap.families.iter().zip(snap.counters.iter()) {
+    for (column, (t, stat)) in text.columns.iter().zip(&snap.counters).enumerate() {
+        if !typed_columns.contains(&column) {
+            out.push_str(&t.type_line);
+        }
         let mean = if hosts == 0 {
             0.0
         } else {
             stat.sum as f64 / hosts as f64
         };
-        let h = HistSnapshot {
-            count: hosts,
-            min: 0,
-            max: stat.p99,
-            mean,
-            p50: stat.p50,
-            p95: stat.p95,
-            p99: stat.p99,
-        };
-        w.summary_family(family, &[], &h);
-    }
-    let mut id = String::new();
-    for (host, vals) in &snap.headline {
-        id.clear();
-        let _ = write!(id, "{host}");
-        let mut v = vals.iter();
-        if let Some(inst) = v.next() {
-            w.counter("host.inst_retired.any", &[("host", id.as_str())], *inst);
+        let [p50, p95, p99, sum, count] = &t.prefixes;
+        for (prefix, v) in [(p50, stat.p50), (p95, stat.p95), (p99, stat.p99)] {
+            out.push_str(prefix);
+            write_u64(&mut out, v);
+            out.push('\n');
         }
-        if let Some(cycles) = v.next() {
-            w.counter(
-                "host.cpu_clk_unhalted.thread",
-                &[("host", id.as_str())],
-                *cycles,
-            );
+        out.push_str(sum);
+        write_f64(&mut out, mean * hosts as f64);
+        out.push('\n');
+        out.push_str(count);
+        write_u64(&mut out, hosts);
+        out.push('\n');
+    }
+    for (id, values) in &snap.headline {
+        for ((host, typed), v) in text.hosts.iter().zip(&mut typed_hosts).zip(values) {
+            if !*typed {
+                out.push_str(&host.type_line);
+                *typed = true;
+            }
+            out.push_str(&host.prefix);
+            write_u64(&mut out, u64::from(*id));
+            out.push_str("\"} ");
+            write_u64(&mut out, *v);
+            out.push('\n');
         }
     }
-    w.into_string()
+    out
 }
 
 /// Write the response head, then the body as it is, without copying it.

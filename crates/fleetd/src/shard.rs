@@ -45,6 +45,7 @@ use obs::metrics::Histogram;
 
 use crate::aggregate::CounterStat;
 use crate::host::{self, HostSim};
+use crate::server::FleetText;
 use crate::FleetConfig;
 
 /// Commands the coordinator sends to a shard worker.
@@ -91,9 +92,9 @@ pub struct FleetSnapshot {
     pub points: u64,
     /// Real columnar heap, summed over shards.
     pub resident_bytes: u64,
-    /// Prometheus family of each counter column, registry order
-    /// ([`crate::server::fleet_families`]).
-    pub families: Arc<Vec<String>>,
+    /// The fleet's fixed `/metrics` text, one column per counter in
+    /// registry order.
+    pub text: Arc<FleetText>,
     /// Fleet roll-up per counter (sum + per-host percentiles).
     pub counters: Vec<CounterStat>,
     /// Headline counters per host, sorted by host id.
@@ -164,7 +165,7 @@ pub struct RoundSummary {
 pub struct Fleet {
     cfg: FleetConfig,
     names: Arc<Vec<String>>,
-    families: Arc<Vec<String>>,
+    text: Arc<FleetText>,
     txs: Vec<Sender<Cmd>>,
     rx: Receiver<ShardReport>,
     handles: Vec<JoinHandle<()>>,
@@ -192,7 +193,7 @@ impl Fleet {
     )]
     fn launch_with<B>(cfg: FleetConfig, build: B) -> Result<Fleet, String>
     where
-        B: Fn(u32, u64, usize) -> Result<HostSim, String> + Clone + Send + 'static,
+        B: Fn(u32, u64) -> Result<HostSim, String> + Clone + Send + 'static,
     {
         let _s = obs::span!("fleet.launch");
         cfg.validate()?;
@@ -201,7 +202,7 @@ impl Fleet {
         let (built_tx, built_rx) = channel();
         let mut fleet = Fleet {
             cfg,
-            families: Arc::new(crate::server::fleet_families(&names)),
+            text: Arc::new(FleetText::new(&names)),
             names,
             txs: Vec::new(),
             rx,
@@ -336,7 +337,7 @@ impl Fleet {
             epochs: self.epochs_total,
             points: self.points_total,
             resident_bytes: resident,
-            families: Arc::clone(&self.families),
+            text: Arc::clone(&self.text),
             counters,
             headline,
         });
@@ -536,14 +537,14 @@ fn worker_main(
     cfg: FleetConfig,
     names: Arc<Vec<String>>,
     ids: Range<u32>,
-    build: impl Fn(u32, u64, usize) -> Result<HostSim, String>,
+    build: impl Fn(u32, u64) -> Result<HostSim, String>,
     built: Sender<Result<(), String>>,
     rx: Receiver<Cmd>,
     report: Sender<ShardReport>,
 ) {
     let columns = names.len();
     let span = obs::span!("fleet.shard_build");
-    let hosts: Result<Vec<HostSim>, String> = ids.map(|id| build(id, cfg.seed, columns)).collect();
+    let hosts: Result<Vec<HostSim>, String> = ids.map(|id| build(id, cfg.seed)).collect();
     let mut hosts = match hosts {
         Ok(hosts) => hosts,
         Err(e) => {
@@ -630,12 +631,12 @@ mod tests {
         // its body returns.
         let alive = Arc::new(());
         let token = Arc::clone(&alive);
-        let build = move |id: u32, seed: u64, columns: usize| {
+        let build = move |id: u32, seed: u64| {
             let _hold = &token;
             if id == 2 {
                 return Err(format!("host {id} failed to build"));
             }
-            HostSim::new(id, seed, columns)
+            HostSim::new(id, seed)
         };
         let cfg = FleetConfig {
             hosts: 6,

@@ -71,10 +71,9 @@ fn fixed_seed_round_streams_match_golden_bytes() {
 /// host's datapath alone, never of the fleet plumbing around it.
 #[test]
 fn fixed_seed_round_streams_are_datapath_invariant() {
-    let columns = fleetd::host::counter_names().len();
     let mut direct = String::new();
     for id in 0..HOSTS {
-        let mut host = HostSim::new(id, SEED, columns).expect("build host");
+        let mut host = HostSim::new(id, SEED).expect("build host");
         for _ in 0..ROUNDS {
             host.advance(EPOCHS_PER_ROUND, true);
         }

@@ -281,6 +281,22 @@ pub fn fmt_f64(v: f64) -> String {
     out
 }
 
+/// Append `v` to `out` in decimal, the bytes `format!("{v}")` writes,
+/// without going through `core::fmt`.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + v.rem_euclid(10) as u8;
+        v = v.div_euclid(10);
+        start -= 1;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits.iter().skip(start).map(|&d| char::from(d)));
+}
+
 /// Append `v` to `out` exactly as [`fmt_f64`] formats it, without a
 /// temporary string.
 pub fn write_f64(out: &mut String, v: f64) {
@@ -288,7 +304,11 @@ pub fn write_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v == v.trunc() && v.abs() < 1e15 {
-        let _ = write!(out, "{}", v as i64);
+        let i = v as i64;
+        if i < 0 {
+            out.push('-');
+        }
+        write_u64(out, i.unsigned_abs());
     } else {
         let start = out.len();
         let _ = write!(out, "{v}");
@@ -336,5 +356,17 @@ mod tests {
         }
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(3.0), "3");
+        for v in [-0.0, -7.0, -999_999_999_999_999.0, 999_999_999_999_999.0] {
+            assert_eq!(fmt_f64(v), format!("{}", v as i64));
+        }
+    }
+
+    #[test]
+    fn write_u64_matches_display() {
+        for v in [0, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::from("x");
+            write_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 }

@@ -21,16 +21,21 @@
 //! `scripts/tier1.sh` can gate the fleetd smoke run on a well-formed
 //! scrape.
 //!
+//! [`validate`] reads the body once, front to back, and allocates per
+//! family and per table growth, not per sample: a sample first resolves
+//! its family against the `# TYPE` line just read, an all-digit value is
+//! taken as a number without a float parse, and duplicates are found by
+//! hashing each sample's parsed identity into an open-addressing table of
+//! earlier samples' text, compared exactly when two hashes match.
+//!
 //! Like the rest of this crate the module is panic-free: clippy denies
 //! indexing, slicing, integer division and release asserts in it
 //! (`lib.rs`), and `tests/hostile_input.rs` feeds [`validate`] arbitrary
 //! bytes.
 
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::collections::BTreeSet;
 
-use crate::json::write_f64;
+use crate::json::{write_f64, write_u64};
 use crate::metrics::HistSnapshot;
 
 /// Mangle a dotted PathFinder metric name into Prometheus form.
@@ -58,8 +63,8 @@ pub fn is_mangled(name: &str) -> bool {
         Some(rest) => {
             !rest.is_empty()
                 && rest
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
         }
         None => false,
     }
@@ -93,6 +98,19 @@ impl PromText {
         PromText::default()
     }
 
+    /// A writer whose output buffer holds `bytes` before it grows.
+    pub fn with_capacity(bytes: usize) -> PromText {
+        PromText {
+            out: String::with_capacity(bytes),
+            ..PromText::default()
+        }
+    }
+
+    /// The families typed so far, in mangled form, in byte order.
+    pub fn typed(&self) -> impl Iterator<Item = &str> {
+        self.typed.iter().map(String::as_str)
+    }
+
     /// `name` mangled into the reused name buffer; hand the buffer back
     /// through `self.name` when done with it.
     fn mangled(&mut self, name: &str) -> String {
@@ -105,7 +123,9 @@ impl PromText {
     fn family(&mut self, family: &str, kind: &str) {
         if !self.typed.contains(family) {
             self.typed.insert(family.to_string());
-            let _ = writeln!(self.out, "# TYPE {family} {kind}");
+            for part in ["# TYPE ", family, " ", kind, "\n"] {
+                self.out.push_str(part);
+            }
         }
     }
 
@@ -135,6 +155,12 @@ impl PromText {
         self.out.push(' ');
     }
 
+    /// Write `value` and end the sample's line.
+    fn integer(&mut self, value: u64) {
+        write_u64(&mut self.out, value);
+        self.out.push('\n');
+    }
+
     /// Type the family of the dotted `name` if it is new, then write a
     /// sample of it up to its value.
     fn open_sample(&mut self, name: &str, kind: &str, labels: &[(&str, &str)]) {
@@ -147,7 +173,7 @@ impl PromText {
     /// Emit a counter sample (monotone, u64).
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
         self.open_sample(name, "counter", labels);
-        let _ = writeln!(self.out, "{value}");
+        self.integer(value);
     }
 
     /// Emit a gauge sample.
@@ -162,24 +188,17 @@ impl PromText {
     /// `_count`.
     pub fn summary(&mut self, name: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
         let family = self.mangled(name);
-        self.summary_family(&family, labels, h);
-        self.name = family;
-    }
-
-    /// [`PromText::summary`] under a family name already in [`mangle`]d
-    /// form, for callers that render the same families on every scrape
-    /// and mangle them once.
-    pub fn summary_family(&mut self, family: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
-        self.family(family, "summary");
+        self.family(&family, "summary");
         for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-            self.series(family, "", labels, Some(("quantile", q)));
-            let _ = writeln!(self.out, "{v}");
+            self.series(&family, "", labels, Some(("quantile", q)));
+            self.integer(v);
         }
-        self.series(family, "_sum", labels, None);
+        self.series(&family, "_sum", labels, None);
         write_f64(&mut self.out, h.mean * h.count as f64);
         self.out.push('\n');
-        self.series(family, "_count", labels, None);
-        let _ = writeln!(self.out, "{}", h.count);
+        self.series(&family, "_count", labels, None);
+        self.integer(h.count);
+        self.name = family;
     }
 
     /// Render every metric currently in the obs registry (counters,
@@ -214,9 +233,13 @@ pub struct PromStats {
     pub samples: usize,
 }
 
+/// A label pair as written: its name and its value between the quotes,
+/// escapes still in place.
+type Pair<'t> = (&'t str, &'t str);
+
 /// Parse a Prometheus label set body (the text between `{` and `}`) into
-/// `(name, unescaped value)` pairs, in `out`, cleared first. Names and
-/// values are slices of `s`; a value is copied only to unescape it.
+/// its pairs, in `out`, cleared first. Names and values are slices of
+/// `s`; a value keeps its escapes, which [`unescaped`] reads.
 ///
 /// Grammar enforced: comma-separated `name="value"` pairs; label names
 /// `[a-zA-Z_][a-zA-Z0-9_]*`; inside a value only `\\`, `\"` and `\n` are
@@ -224,15 +247,18 @@ pub struct PromStats {
 /// stray bytes between pairs, an unterminated value, an illegal escape —
 /// is exactly the shape a hostile label value would need to smuggle a
 /// fake sample past a scraper, and is rejected.
-fn parse_labels<'t>(s: &'t str, out: &mut Vec<(&'t str, Cow<'t, str>)>) -> Result<(), String> {
+fn parse_labels<'t>(s: &'t str, out: &mut Vec<Pair<'t>>) -> Result<(), String> {
     out.clear();
     if s.is_empty() {
         return Ok(());
     }
     let mut rest = s;
     loop {
-        let after = rest.trim_start_matches(|c: char| c.is_ascii_alphanumeric() || c == '_');
-        let name = rest.get(..rest.len() - after.len()).unwrap_or_default();
+        let end = rest
+            .bytes()
+            .position(|b| !(b.is_ascii_alphanumeric() || b == b'_'))
+            .unwrap_or(rest.len());
+        let (name, after) = rest.split_at_checked(end).unwrap_or((rest, ""));
         if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
             return Err(format!("bad label name before `{after}`"));
         }
@@ -250,58 +276,208 @@ fn parse_labels<'t>(s: &'t str, out: &mut Vec<(&'t str, Cow<'t, str>)>) -> Resul
     }
 }
 
-/// Label `name`'s value at the start of `body`, unescaped, and the text
-/// after its closing quote. The value borrows from `body` unless it holds
-/// an escape.
-fn parse_value<'t>(name: &str, body: &'t str) -> Result<(Cow<'t, str>, &'t str), String> {
-    let mut owned: Option<String> = None;
-    let mut chars = body.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                let value = match owned {
-                    Some(v) => Cow::Owned(v),
-                    None => Cow::Borrowed(body.get(..i).unwrap_or_default()),
-                };
-                return Ok((value, chars.as_str()));
-            }
-            '\\' => {
-                let v = owned.get_or_insert_with(|| body.get(..i).unwrap_or_default().to_owned());
-                match chars.next().map(|(_, c)| c) {
-                    Some('\\') => v.push('\\'),
-                    Some('"') => v.push('"'),
-                    Some('n') => v.push('\n'),
-                    other => {
-                        return Err(format!(
-                            "label `{name}` uses illegal escape `\\{}`",
-                            other.map(String::from).unwrap_or_default()
-                        ))
-                    }
-                }
-            }
-            c => {
-                if let Some(v) = owned.as_mut() {
-                    v.push(c);
-                }
+/// Label `name`'s value at the start of `body`, as written, and the text
+/// after its closing quote. A quote or a backslash is one byte that no
+/// other character's UTF-8 encoding contains, so the scan is bytewise.
+fn parse_value<'t>(name: &str, body: &'t str) -> Result<(&'t str, &'t str), String> {
+    let bytes = body.as_bytes();
+    let mut from = 0;
+    while let Some(at) = bytes
+        .get(from..)
+        .and_then(|b| b.iter().position(|&c| c == b'"' || c == b'\\'))
+        .map(|off| from + off)
+    {
+        if bytes.get(at) == Some(&b'"') {
+            return Ok((
+                body.get(..at).unwrap_or_default(),
+                body.get(at + 1..).unwrap_or_default(),
+            ));
+        }
+        match bytes.get(at + 1) {
+            Some(b'\\' | b'"' | b'n') => from = at + 2,
+            _ => {
+                let other = body.get(at + 1..).and_then(|s| s.chars().next());
+                return Err(format!(
+                    "label `{name}` uses illegal escape `\\{}`",
+                    other.map(String::from).unwrap_or_default()
+                ));
             }
         }
     }
     Err(format!("label `{name}` has an unterminated value"))
 }
 
-/// Resolve a sample name to its family: `_sum`/`_count`/`_bucket`
-/// suffixes fold into a preceding summary or histogram family.
-fn family_of<'a>(name: &'a str, types: &BTreeMap<&str, &str>) -> &'a str {
-    for suffix in ["_count", "_sum", "_bucket"] {
-        if let Some(base) = name.strip_suffix(suffix) {
-            if let Some(&kind) = types.get(base) {
-                if kind == "summary" || kind == "histogram" {
-                    return base;
+/// The bytes a label value as written stands for. Only the three legal
+/// escapes reach here, so each backslash takes the byte after it.
+fn unescaped(raw: &str) -> impl Iterator<Item = u8> + '_ {
+    let mut bytes = raw.bytes();
+    std::iter::from_fn(move || match bytes.next()? {
+        b'\\' => match bytes.next()? {
+            b'n' => Some(b'\n'),
+            b => Some(b),
+        },
+        b => Some(b),
+    })
+}
+
+/// Sort a label set into identity order: by name, then by unescaped
+/// value.
+fn sort_pairs(pairs: &mut [Pair<'_>]) {
+    pairs.sort_unstable_by(|(ka, va), (kb, vb)| {
+        ka.cmp(kb).then_with(|| unescaped(va).cmp(unescaped(vb)))
+    });
+}
+
+/// A sample's name and label-set body, or `None` for a label set without
+/// its closing brace.
+fn split_series(series: &str) -> Option<(&str, &str)> {
+    match series.split_once('{') {
+        Some((name, rest)) => Some((name, rest.strip_suffix('}')?)),
+        None => Some((series, "")),
+    }
+}
+
+/// Write a sample's identity into `key`: its name, then per pair of its
+/// sorted label set `\0`, the label name, `\0` and the value as written.
+/// A value as written is its unescaped value escaped again, so two
+/// samples are the same series exactly when their keys are equal.
+fn identity_into(key: &mut Vec<u8>, name: &str, pairs: &[Pair<'_>]) {
+    key.clear();
+    key.extend_from_slice(name.as_bytes());
+    for (k, v) in pairs {
+        key.push(0);
+        key.extend_from_slice(k.as_bytes());
+        key.push(0);
+        key.extend_from_slice(v.as_bytes());
+    }
+}
+
+/// A word-at-a-time multiplicative hash of `bytes`, folded so that the
+/// low bits a table masks depend on every word.
+fn hash_bytes(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (&mut words).fold(bytes.len() as u64, |h, w| {
+        mix(h, <[u8; 8]>::try_from(w).map_or(0, u64::from_le_bytes))
+    });
+    let mut tail = [0u8; 8];
+    for (t, b) in tail.iter_mut().zip(words.remainder()) {
+        *t = *b;
+    }
+    h = mix(h, u64::from_le_bytes(tail));
+    h ^ (h >> 29)
+}
+
+/// An open-addressing table (linear probing, at most half full) of
+/// slices of the text being validated, each stored with its hash and a
+/// value. What makes two slices the same entry is the caller's test.
+struct Table<'t, V> {
+    slots: Vec<Option<(u64, &'t str, V)>>,
+    len: usize,
+}
+
+impl<'t, V: Copy> Table<'t, V> {
+    /// Slots of a new table, a power of two: it first grows at its 33rd
+    /// entry, and doubles each time it would pass half full.
+    const FIRST_SLOTS: usize = 64;
+
+    fn new() -> Table<'t, V> {
+        Table {
+            slots: vec![None; Self::FIRST_SLOTS],
+            len: 0,
+        }
+    }
+
+    /// The value of the entry stored under `hash` whose text `is`
+    /// accepts.
+    fn get(&self, hash: u64, is: impl Fn(&str) -> bool) -> Option<V> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while let Some(Some((h, text, value))) = self.slots.get(i) {
+            if *h == hash && is(text) {
+                return Some(*value);
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+
+    /// Store `text` and `value` under `hash`, unless an entry stored
+    /// under `hash` has a text that `is` accepts; true when stored.
+    fn insert(
+        &mut self,
+        hash: u64,
+        text: &'t str,
+        value: V,
+        mut is: impl FnMut(&'t str) -> bool,
+    ) -> bool {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while let Some(slot) = self.slots.get_mut(i) {
+            match *slot {
+                None => {
+                    *slot = Some((hash, text, value));
+                    self.len += 1;
+                    return true;
                 }
+                Some((h, earlier, _)) if h == hash && is(earlier) => return false,
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
+        false
+    }
+
+    fn grow(&mut self) {
+        let grown = vec![None; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, grown);
+        let mask = self.slots.len() - 1;
+        for entry in old.into_iter().flatten() {
+            let mut i = entry.0 as usize & mask;
+            while let Some(slot) = self.slots.get_mut(i) {
+                if slot.is_none() {
+                    *slot = Some(entry);
+                    break;
+                }
+                i = (i + 1) & mask;
             }
         }
     }
-    name
+}
+
+/// The kind of family `fam` in `types`.
+fn kind_of<'t>(types: &Table<'t, &'t str>, fam: &str) -> Option<&'t str> {
+    types.get(hash_bytes(fam.as_bytes()), |t| t == fam)
+}
+
+/// Does a sample value parse as a float? An all-digit value does without
+/// parsing.
+fn is_number(value: &str) -> bool {
+    (!value.is_empty() && value.bytes().all(|b| b.is_ascii_digit())) || value.parse::<f64>().is_ok()
+}
+
+/// Is `name` a sample of the family `fam` of kind `kind`: the family
+/// itself, or its `_sum`, `_count` or `_bucket` when it is a summary or
+/// histogram?
+fn of_family(name: &str, (fam, kind): (&str, &str)) -> bool {
+    match name.strip_prefix(fam) {
+        Some("") => true,
+        Some("_count" | "_sum" | "_bucket") => kind == "summary" || kind == "histogram",
+        _ => false,
+    }
+}
+
+/// Is `name` a sample of some family in `types`? Its `_count`, `_sum`
+/// or `_bucket` suffix folds into a summary or histogram family.
+fn is_typed<'t>(types: &Table<'t, &'t str>, name: &str) -> bool {
+    ["_count", "_sum", "_bucket"].into_iter().any(|suffix| {
+        name.strip_suffix(suffix)
+            .and_then(|base| kind_of(types, base))
+            .is_some_and(|kind| kind == "summary" || kind == "histogram")
+    }) || kind_of(types, name).is_some()
 }
 
 /// Validate Prometheus text exposition:
@@ -319,10 +495,19 @@ fn family_of<'a>(name: &'a str, types: &BTreeMap<&str, &str>) -> &'a str {
 ///
 /// Returns family/sample counts on success, a one-line diagnosis on the
 /// first failure.
+///
+/// A family, once typed, stays typed, and a name that has resolved to
+/// one always resolves again. So a sample of the family of the last
+/// `# TYPE` line, or with the name of one of the last two samples that
+/// resolved through the family map, skips both the mangling check and
+/// the lookup.
 pub fn validate(text: &str, required: &[&str]) -> Result<PromStats, String> {
-    let mut types: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut pairs = Vec::new();
+    let mut types = Table::new();
+    let mut last_type = None;
+    let mut resolved = [None; 2];
+    let mut seen = Table::new();
+    let (mut pairs, mut key) = (Vec::new(), Vec::new());
+    let (mut earlier_pairs, mut earlier_key) = (Vec::new(), Vec::new());
     let mut samples = 0usize;
     for (idx, raw) in text.lines().enumerate() {
         let n = idx + 1;
@@ -347,9 +532,10 @@ pub fn validate(text: &str, required: &[&str]) -> Result<PromStats, String> {
                     "line {n}: family `{fam}` is not in pathfinder_ mangled form"
                 ));
             }
-            if types.insert(fam, kind).is_some() {
+            if !types.insert(hash_bytes(fam.as_bytes()), fam, kind, |t| t == fam) {
                 return Err(format!("line {n}: duplicate TYPE line for `{fam}`"));
             }
+            last_type = Some((fam, kind));
             continue;
         }
         if line.starts_with('#') {
@@ -359,58 +545,56 @@ pub fn validate(text: &str, required: &[&str]) -> Result<PromStats, String> {
             Some(pair) => pair,
             None => return Err(format!("line {n}: malformed sample `{line}`")),
         };
-        if value.parse::<f64>().is_err() {
+        if !is_number(value) {
             return Err(format!("line {n}: value `{value}` is not a number"));
         }
-        let (name, labels) = match series.split_once('{') {
-            Some((nm, rest)) => match rest.strip_suffix('}') {
-                Some(lbl) => (nm, lbl),
-                None => return Err(format!("line {n}: unterminated label set `{series}`")),
-            },
-            None => (series, ""),
+        let Some((name, labels)) = split_series(series) else {
+            return Err(format!("line {n}: unterminated label set `{series}`"));
         };
-        if !is_mangled(name) {
-            return Err(format!(
-                "line {n}: sample `{name}` is not in pathfinder_ mangled form"
-            ));
-        }
-        if !types.contains_key(family_of(name, &types)) {
-            return Err(format!(
-                "line {n}: sample `{name}` has no preceding # TYPE line"
-            ));
+        if !last_type.is_some_and(|t| of_family(name, t)) && !resolved.contains(&Some(name)) {
+            if !is_mangled(name) {
+                return Err(format!(
+                    "line {n}: sample `{name}` is not in pathfinder_ mangled form"
+                ));
+            }
+            if !is_typed(&types, name) {
+                return Err(format!(
+                    "line {n}: sample `{name}` has no preceding # TYPE line"
+                ));
+            }
+            let [newest, older] = &mut resolved;
+            *older = newest.replace(name);
         }
         if let Err(e) = parse_labels(labels, &mut pairs) {
             return Err(format!("line {n}: `{series}`: {e}"));
         }
-        // Identity is the parsed set: sort, then re-escape each value so
-        // the key stays unambiguous whatever bytes the values contain.
-        pairs.sort();
-        let mut key = String::with_capacity(
-            name.len()
-                + pairs
-                    .iter()
-                    .map(|(lk, lv)| 2 + lk.len() + 2 * lv.len())
-                    .sum::<usize>(),
-        );
-        key.push_str(name);
-        for (lk, lv) in &pairs {
-            key.push('\u{0}');
-            key.push_str(lk);
-            key.push('\u{0}');
-            escape_label_into(&mut key, lv);
-        }
-        if !seen.insert(key) {
+        sort_pairs(&mut pairs);
+        identity_into(&mut key, name, &pairs);
+        // Two hashes match: parse the earlier sample again and compare
+        // the two identities exactly.
+        let stored = seen.insert(hash_bytes(&key), series, (), |earlier| {
+            let Some((name, labels)) = split_series(earlier) else {
+                return false;
+            };
+            if parse_labels(labels, &mut earlier_pairs).is_err() {
+                return false;
+            }
+            sort_pairs(&mut earlier_pairs);
+            identity_into(&mut earlier_key, name, &earlier_pairs);
+            earlier_key == key
+        });
+        if !stored {
             return Err(format!("line {n}: duplicate sample `{series}`"));
         }
         samples += 1;
     }
     for r in required {
-        if !types.contains_key(*r) {
+        if kind_of(&types, r).is_none() {
             return Err(format!("required metric family `{r}` missing"));
         }
     }
     Ok(PromStats {
-        families: types.len(),
+        families: types.len,
         samples,
     })
 }

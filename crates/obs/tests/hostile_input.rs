@@ -295,9 +295,11 @@ proptest! {
     }
 
     /// A fleet's `/metrics` body, as fleetd renders it, then corrupted.
+    /// Every body holds at least 43 samples, past the 32 at which the
+    /// validator's identity table first grows, and up to 409.
     #[test]
     fn prom_validator_matches_the_reference_on_fleet_bodies(
-        hosts in 1usize..48,
+        hosts in 16usize..200,
         labels in proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..6), 1..4),
         edits in proptest::collection::vec((0usize..FLEET_BODY.len(), 0u8..=255), 0..4),
         len in 0usize..=FLEET_BODY.len(),
@@ -309,8 +311,9 @@ proptest! {
     }
 }
 
-/// fleetd's committed `/metrics` golden: 128 hosts, as `render_metrics`
-/// writes them.
+/// fleetd's committed `/metrics` golden, as `render_metrics` writes it:
+/// the full counter set of a 7-host fleet and four hosts' headline
+/// counters.
 const FLEET_BODY: &str = include_str!("../../fleetd/tests/golden/render_metrics.prom");
 
 /// A body shaped like fleetd's: the registry's counters, a summary per
@@ -360,6 +363,9 @@ fn label_identity_edge_cases_match_the_reference() {
         ("k=\"x\\\"\"", "k=\"x\\\"\""),
         ("k=\"\"", "k=\"\",j=\"\""),
         ("k=\"\\\\\"", "k=\"\\\\\",k=\"\""),
+        // A value holding the identity's own separators: the reference
+        // keys both samples alike.
+        ("a=\"x\u{0}b\u{0}c\"", "a=\"x\",b=\"c\""),
     ];
     for (a, b) in pairs {
         let text = format!("{head}pathfinder_x{{{a}}} 1\npathfinder_x{{{b}}} 2\n");

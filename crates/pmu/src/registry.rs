@@ -35,6 +35,19 @@ impl PmuKind {
         PmuKind::CxlPool,
     ];
 
+    /// Number of counters this PMU has: its event table's size.
+    pub fn counters(self) -> usize {
+        match self {
+            PmuKind::Core => CoreEvent::CARD,
+            PmuKind::Cha => ChaEvent::CARD,
+            PmuKind::Imc => ImcEvent::CARD,
+            PmuKind::M2Pcie => M2pEvent::CARD,
+            PmuKind::CxlDevice => CxlEvent::CARD,
+            PmuKind::CxlSwitch => SwitchEvent::CARD,
+            PmuKind::CxlPool => PoolEvent::CARD,
+        }
+    }
+
     pub fn label(self) -> &'static str {
         match self {
             PmuKind::Core => "core",
@@ -340,51 +353,92 @@ pub struct EventDesc {
 /// [`PmuKind::ALL`] order, each one's events in index order. This is the
 /// column order of [`crate::SystemPmu::totals_into`].
 pub fn all_events() -> Vec<EventDesc> {
-    fn push<E: Event>(v: &mut Vec<EventDesc>, pmu: PmuKind, scope: Scope, events: Vec<E>) {
-        v.extend(events.into_iter().map(|e| {
+    events_named(|_| true)
+}
+
+/// The registry entries, in [`all_events`] order, of the counters whose
+/// names `keep` accepts; the entries of the others are never built.
+fn events_named(keep: impl Fn(&str) -> bool) -> Vec<EventDesc> {
+    fn push<E: Event>(
+        v: &mut Vec<EventDesc>,
+        pmu: PmuKind,
+        scope: Scope,
+        events: Vec<E>,
+        keep: &impl Fn(&str) -> bool,
+    ) {
+        v.extend(events.into_iter().filter_map(|e| {
             let name = e.name();
-            EventDesc {
+            keep(&name).then(|| EventDesc {
                 pmu,
                 scope,
                 unit: unit_of(&name),
                 description: describe(&name),
                 index: e.index(),
                 name,
-            }
+            })
         }));
     }
     let mut v = Vec::new();
-    push(&mut v, PmuKind::Core, Scope::PerCore, CoreEvent::all());
-    push(&mut v, PmuKind::Cha, Scope::PerSocket, ChaEvent::all());
-    push(&mut v, PmuKind::Imc, Scope::PerChannel, ImcEvent::all());
-    push(&mut v, PmuKind::M2Pcie, Scope::PerSocket, M2pEvent::all());
+    push(
+        &mut v,
+        PmuKind::Core,
+        Scope::PerCore,
+        CoreEvent::all(),
+        &keep,
+    );
+    push(
+        &mut v,
+        PmuKind::Cha,
+        Scope::PerSocket,
+        ChaEvent::all(),
+        &keep,
+    );
+    push(
+        &mut v,
+        PmuKind::Imc,
+        Scope::PerChannel,
+        ImcEvent::all(),
+        &keep,
+    );
+    push(
+        &mut v,
+        PmuKind::M2Pcie,
+        Scope::PerSocket,
+        M2pEvent::all(),
+        &keep,
+    );
     push(
         &mut v,
         PmuKind::CxlDevice,
         Scope::PerDevice,
         CxlEvent::all(),
+        &keep,
     );
     push(
         &mut v,
         PmuKind::CxlSwitch,
         Scope::PerPort,
         SwitchEvent::all(),
+        &keep,
     );
-    push(&mut v, PmuKind::CxlPool, Scope::PerHost, PoolEvent::all());
+    push(
+        &mut v,
+        PmuKind::CxlPool,
+        Scope::PerHost,
+        PoolEvent::all(),
+        &keep,
+    );
     v
 }
 
 /// Look a counter up by its exact perf-style name.
 pub fn lookup(name: &str) -> Option<EventDesc> {
-    all_events().into_iter().find(|e| e.name == name)
+    events_named(|n| n == name).pop()
 }
 
 /// Number of counters per PMU kind.
 pub fn counts_by_pmu() -> Vec<(PmuKind, usize)> {
-    PmuKind::ALL
-        .iter()
-        .map(|&k| (k, all_events().iter().filter(|e| e.pmu == k).count()))
-        .collect()
+    PmuKind::ALL.iter().map(|&k| (k, k.counters())).collect()
 }
 
 /// Render the registry as an aligned text table (one line per counter).
@@ -430,6 +484,18 @@ mod tests {
                 + SwitchEvent::CARD
                 + PoolEvent::CARD
         );
+    }
+
+    #[test]
+    fn counts_by_pmu_count_the_registry() {
+        let events = all_events();
+        for (kind, n) in counts_by_pmu() {
+            assert_eq!(
+                n,
+                events.iter().filter(|e| e.pmu == kind).count(),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -57,7 +57,8 @@ impl HoltWinters {
     /// Returns `(fitted_one_step_ahead, forecast)`.
     pub fn fit_forecast(&self, data: &[f64], horizon: usize) -> Option<(Vec<f64>, Vec<f64>)> {
         let mut fitted = Vec::with_capacity(data.len());
-        let (level, trend, seasonal) = self.fit(data, |predict| fitted.push(predict))?;
+        let mut seasonal = Vec::with_capacity(self.season);
+        let (level, trend) = self.fit(data, &mut seasonal, |predict| fitted.push(predict))?;
         let (n, m) = (data.len(), self.season);
         let forecast = (0..horizon)
             .map(|h| level + (h + 1) as f64 * trend + seasonal[(n + h) % m])
@@ -66,9 +67,14 @@ impl HoltWinters {
     }
 
     /// Smooth `data` (needs ≥ 2 full seasons), handing each one-step-ahead
-    /// prediction to `fitted` in time order. Returns the final level,
-    /// trend and seasonal terms.
-    fn fit(&self, data: &[f64], mut fitted: impl FnMut(f64)) -> Option<(f64, f64, Vec<f64>)> {
+    /// prediction to `fitted` in time order. Returns the final level and
+    /// trend, and leaves the final seasonal terms in `seasonal`.
+    fn fit(
+        &self,
+        data: &[f64],
+        seasonal: &mut Vec<f64>,
+        mut fitted: impl FnMut(f64),
+    ) -> Option<(f64, f64)> {
         let m = self.season;
         if data.len() < 2 * m {
             return None;
@@ -78,7 +84,8 @@ impl HoltWinters {
         let s2: f64 = data[m..2 * m].iter().sum::<f64>() / m as f64;
         let mut level = s1;
         let mut trend = (s2 - s1) / m as f64;
-        let mut seasonal: Vec<f64> = (0..m).map(|i| data[i] - s1).collect();
+        seasonal.clear();
+        seasonal.extend(data[..m].iter().map(|y| y - s1));
         for (t, &y) in data.iter().enumerate() {
             let si = t % m;
             fitted(level + trend + seasonal[si]);
@@ -87,16 +94,18 @@ impl HoltWinters {
             trend = self.beta * (level - last_level) + (1.0 - self.beta) * trend;
             seasonal[si] = self.gamma * (y - level) + (1.0 - self.gamma) * seasonal[si];
         }
-        Some((level, trend, seasonal))
+        Some((level, trend))
     }
 
     /// Root-mean-square one-step-ahead error of the fit, skipping the first
     /// two warm-up seasons. A small error relative to the signal's stddev
-    /// indicates a predictable (seasonal) access pattern.
-    pub fn fit_error(&self, data: &[f64]) -> Option<f64> {
+    /// indicates a predictable (seasonal) access pattern. `seasonal` is
+    /// working space for the seasonal terms, so a caller that fits often
+    /// can reuse one buffer; what it held is overwritten.
+    pub fn fit_error(&self, data: &[f64], seasonal: &mut Vec<f64>) -> Option<f64> {
         let skip = 2 * self.season;
         let (mut t, mut se) = (0, 0.0);
-        self.fit(data, |predict| {
+        self.fit(data, seasonal, |predict| {
             if t >= skip {
                 se += (data[t] - predict) * (data[t] - predict);
             }
@@ -284,7 +293,7 @@ mod tests {
             .map(|t| 100.0 + 0.5 * t as f64 + 20.0 * ((t % season) as f64 - 3.5))
             .collect();
         let hw = HoltWinters::new(season);
-        let err = hw.fit_error(&data).unwrap();
+        let err = hw.fit_error(&data, &mut Vec::new()).unwrap();
         // Signal swings ±70; a good seasonal fit gets within a few units.
         assert!(err < 10.0, "fit error {err}");
         let (_, forecast) = hw.fit_forecast(&data, season).unwrap();

@@ -66,13 +66,14 @@ run git diff --exit-code crates/bench/out/fig6_stall_breakdown.csv
 run cargo run --release -p obs --bin obs_validate -- \
     "$obs_out/timings.json" epoch.machine epoch.profiler
 
-# Fleet-mode smoke (FLEET.md): a small sharded fleet serves a live
-# /metrics scrape whose Prometheus exposition validates (TYPE lines,
-# pathfinder_* mangling, no duplicate samples, the contract families
-# present), and whose timings JSON names the fleet phases: the launch and
-# each worker's host build as well as the rounds.
+# Fleet-mode smoke (FLEET.md): a sharded fleet of the benchmark's 128
+# hosts serves a live /metrics scrape (about 120 KB) whose Prometheus
+# exposition validates (TYPE lines, pathfinder_* mangling, no duplicate
+# samples, the contract families present), and whose timings JSON names
+# the fleet phases: the launch and each worker's host build as well as
+# the rounds.
 run cargo run --release -p fleetd --bin pathfinder-fleetd -- \
-    --hosts 16 --shards 2 --rounds 2 --listen 127.0.0.1:0 \
+    --hosts 128 --shards 2 --rounds 2 --listen 127.0.0.1:0 \
     --scrape-out "$obs_out/fleet_metrics.txt" \
     --timings-json "$obs_out/fleet_timings.json"
 run cargo run --release -p obs --bin obs_validate -- --prom \
